@@ -61,6 +61,6 @@ from .schedule import (
     d_dt_h_ext,
     eval_h_ext,
 )
-from .spectral import NeumannBasis, commutator_PkF, project_Pk
+from .spectral import commutator_PkF, project_Pk
 
 __version__ = "0.1.0"

@@ -15,11 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .grid import DomainMask, EllipsoidSpec, Grid3, apply_mask, constant_field, _check_field
-
-
-class ModeMismatchError(ValueError):
-    """A demag model variant was used on an incompatible grid."""
+from .grid import (
+    DomainMask,
+    EllipsoidSpec,
+    Grid3,
+    ModeMismatchError,
+    _check_field,
+    apply_mask,
+    constant_field,
+)
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,12 @@ from .grid import (
     grad_sq,
     laplacian_neumann,
     mean_magnetization,
+    neumann_eigenvalues,
     norm_l2,
     normalize_pointwise,
+    require_full_box,
 )
-from .schedule import FieldSchedule, d_dt_h_ext, eval_h_ext
+from .schedule import FieldSchedule, FixedDirection, d_dt_h_ext, eval_h_ext
 
 
 class BlowUpError(RuntimeError):
@@ -127,20 +129,14 @@ def parabolic_rhs_F(t: float, m: np.ndarray, cfg: SolverConfig, g: Grid3,
     return apply_mask(out, mask)
 
 
-def _dct_laplacian_eigs(g: Grid3) -> np.ndarray:
-    """Eigenvalues of -Laplacian (mirror-ghost Neumann) in the cosine basis."""
-    mus = []
-    for n, h in zip(g.shape, g.spacings):
-        k = np.arange(n)
-        mus.append((2.0 / h**2) * (1.0 - np.cos(np.pi * k / n)))
-    return (mus[0][:, None, None] + mus[1][None, :, None]
-            + mus[2][None, None, :])
-
-
 def step(t: float, m: np.ndarray, dt: float, cfg: SolverConfig, g: Grid3,
          mask: DomainMask, demag: DemagModel,
          sched: FieldSchedule) -> np.ndarray:
-    """One time step; always returns a unit field on the mask."""
+    """One time step; always returns a unit field on the mask.
+
+    semi-implicit-spectral solves in the cosine basis of the box, so it
+    raises ModeMismatchError on a masked domain.
+    """
     if cfg.integrator == "projected-explicit":
         k1 = ll_rhs(t, m, cfg, g, mask, demag, sched)
         mh = normalize_pointwise(m + 0.5 * dt * k1, mask)
@@ -149,14 +145,13 @@ def step(t: float, m: np.ndarray, dt: float, cfg: SolverConfig, g: Grid3,
     else:
         # (eps/dt - alpha Lap) m+ = (eps/dt) m + F(t, m), solved in the
         # Neumann cosine basis of the bounding box.
+        require_full_box(mask, "the semi-implicit-spectral integrator")
         rhs = (cfg.epsilon / dt) * m \
             + parabolic_rhs_F(t, m, cfg, g, mask, demag, sched)
-        mu = _dct_laplacian_eigs(g)
-        denom = cfg.epsilon / dt + cfg.alpha * mu
+        denom = cfg.epsilon / dt + cfg.alpha * neumann_eigenvalues(g)
         fr = scipy.fft.dctn(rhs, type=2, norm="ortho", axes=(0, 1, 2))
         out = scipy.fft.idctn(fr / denom[..., None], type=2, norm="ortho",
                               axes=(0, 1, 2))
-        out = apply_mask(out, mask)
     if not np.all(np.isfinite(out)):
         raise BlowUpError(t + dt)
     if cfg.renormalize:
@@ -261,6 +256,13 @@ def relax_to_equilibrium(m0: np.ndarray, t_frozen: float, tol: float,
                              integrator=cfg.integrator, dt=cfg.dt,
                              renormalize=True)
     dt = resolve_dt(relax_cfg, g)
+    # hold h_ext at its t_frozen value for all times: the explicit midpoint
+    # reads it at t_frozen + dt/2, and a moving field would shift the fixed
+    # point off the equilibrium at t_frozen
+    lam = sched.amplitude(t_frozen)
+    sched = FieldSchedule(np.array([[t_frozen, lam], [np.inf, lam]]),
+                          FixedDirection(sched.direction.at(t_frozen)),
+                          sched.envelope)
     m = m0
     if equilibrium_residual(t_frozen, m, g, mask, demag, sched) < tol:
         return m, True

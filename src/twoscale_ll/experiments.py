@@ -75,11 +75,16 @@ def _equilibrium_tracker(plan: AsymptoticsPlan, g: Grid3, mask: DomainMask,
                          demag: DemagModel, cfg: SolverConfig,
                          m_warm: np.ndarray | None = None):
     """Callable t -> m_eq(t): analytic u(t) on a spherical sample, or a
-    warm-started frozen-time relaxation solve otherwise."""
+    warm-started frozen-time relaxation solve otherwise.
+
+    Also returns the list the callable appends each solve's converged flag
+    to (it stays empty in analytic mode).
+    """
+    converged: list[bool] = []
     if plan.analytic_equilibrium:
         def ref(t: float) -> np.ndarray:
             return constant_field(g, plan.sched.direction.at(t), mask)
-        return ref
+        return ref, converged
 
     state = {"m": m_warm}
     relax_cfg = replace(cfg, dt=plan.relax_dt)
@@ -88,13 +93,14 @@ def _equilibrium_tracker(plan: AsymptoticsPlan, g: Grid3, mask: DomainMask,
         guess = state["m"]
         if guess is None:
             guess = constant_field(g, plan.sched.direction.at(t), mask)
-        m_eq, _ = relax_to_equilibrium(
+        m_eq, ok = relax_to_equilibrium(
             guess, t, plan.relax_tol, plan.relax_max_T, relax_cfg, g, mask,
             demag, plan.sched)
+        converged.append(ok)
         state["m"] = m_eq
         return m_eq
 
-    return ref
+    return ref, converged
 
 
 def run_asymptotics(plan: AsymptoticsPlan, g: Grid3, mask: DomainMask,
@@ -103,7 +109,9 @@ def run_asymptotics(plan: AsymptoticsPlan, g: Grid3, mask: DomainMask,
 
     Initial data is prepared by relaxing at the initial time and then
     applying one fixed admissible perturbation (shared across the ladder).
-    Summary rows hold (eps, tau, tau/(eps ln(1/eps)), sup_{[tau,T]} d).
+    Summary rows hold (eps, tau, tau/(eps ln(1/eps)), sup_{[tau,T]} d),
+    whether the initial relaxation converged, and whether every reference
+    solve for that eps converged (always true in analytic mode).
     """
     t0 = plan.sched.t_min
     base_cfg = SolverConfig(epsilon=1.0, alpha=plan.alpha, T=plan.T,
@@ -125,7 +133,8 @@ def run_asymptotics(plan: AsymptoticsPlan, g: Grid3, mask: DomainMask,
         sample_every = max(1, n_steps // plan.samples_per_run)
         cfg = SolverConfig(epsilon=eps, alpha=plan.alpha, T=plan.T,
                            integrator=plan.integrator, dt=dt)
-        ref = _equilibrium_tracker(plan, g, mask, demag, cfg, m_warm=m_eq0)
+        ref, ref_converged = _equilibrium_tracker(plan, g, mask, demag, cfg,
+                                                  m_warm=m_eq0)
         rec, _ = integrate(m0, cfg, g, mask, demag, plan.sched,
                            sample_every=sample_every, t0=t0, reference=ref)
         records[eps] = rec
@@ -138,6 +147,7 @@ def run_asymptotics(plan: AsymptoticsPlan, g: Grid3, mask: DomainMask,
             "tau_over_eps_log": tau / (eps * np.log(1.0 / eps)),
             "sup_dist_after_tau": sup_d,
             "initial_relax_converged": converged,
+            "reference_converged": all(ref_converged),
         })
     return {"records": records, "summary": summary}
 

@@ -1,5 +1,6 @@
 """Rectangular-grid discretization: vector fields on a masked box, the
-mirror-ghost Neumann Laplacian, and the discrete L2/H1/H2 inner products.
+mirror-ghost Neumann Laplacian with its cosine spectrum (which holds on the
+full box only), and the discrete L2/H1/H2 inner products.
 
 Vector fields are plain numpy arrays of shape (nx, ny, nz, 3), collocated at
 cell centers. Values on cells outside the domain mask are kept at zero.
@@ -18,6 +19,11 @@ class ShapeMismatchError(ValueError):
 
 class DegenerateCellError(ValueError):
     """A masked cell holds a zero vector where a direction is required."""
+
+
+class ModeMismatchError(ValueError):
+    """An operator was applied where it does not hold: the cosine spectrum
+    on a masked domain, or a demag model on a grid it was not built for."""
 
 
 @dataclass(frozen=True)
@@ -138,43 +144,39 @@ def apply_mask(u: np.ndarray, mask: DomainMask) -> np.ndarray:
     return np.where(mask.inside[..., None], u, 0.0)
 
 
-def _neighbor_terms(u: np.ndarray, inside: np.ndarray, axis: int, h: float):
-    """Yield (shifted - center)/h^2 contributions for both neighbors on axis.
+def _faces(g: Grid3):
+    """Yield (lo, hi, h) for every axis with more than one cell: lo and hi
+    index the two cells on either side of each interior face."""
+    for axis, (n, h) in enumerate(zip(g.shape, g.spacings)):
+        if n > 1:
+            pre = (slice(None),) * axis
+            yield pre + (slice(0, n - 1),), pre + (slice(1, n),), h
 
-    Neighbors outside the mask (or outside the array) are mirror ghosts:
-    their value equals the center value, so their contribution vanishes.
-    This enforces the discrete homogeneous Neumann condition and keeps the
-    stencil symmetric.
+
+def _face_flux(u: np.ndarray, lo: tuple, hi: tuple, h: float,
+               mask: DomainMask) -> np.ndarray:
+    """(u[hi] - u[lo]) / h^2 on faces between two masked cells, zero on
+    faces that touch an outside cell.
+
+    An outside neighbor acts as a mirror ghost: its value equals the center
+    value, so its face carries nothing. This is the discrete homogeneous
+    Neumann condition, and it keeps the stencil symmetric.
     """
-    n = u.shape[axis]
-    for shift in (+1, -1):
-        diff = np.zeros_like(u)
-        src = [slice(None)] * 4
-        dst = [slice(None)] * 4
-        if shift == +1:
-            dst[axis] = slice(0, n - 1)
-            src[axis] = slice(1, n)
-        else:
-            dst[axis] = slice(1, n)
-            src[axis] = slice(0, n - 1)
-        diff[tuple(dst)] = u[tuple(src)] - u[tuple(dst)]
-        # zero the contribution where the neighbor cell is outside the mask
-        nb_inside = np.zeros(inside.shape, dtype=bool)
-        nb_inside[tuple(dst[:3])] = inside[tuple(src[:3])]
-        diff = np.where(nb_inside[..., None], diff, 0.0)
-        yield diff / h**2
+    du = u[hi] - u[lo]
+    du *= (mask.inside[lo] & mask.inside[hi])[..., None]
+    du /= h**2
+    return du
 
 
 def laplacian_neumann(u: np.ndarray, g: Grid3, mask: DomainMask) -> np.ndarray:
     """7-point Laplacian with mirror ghost cells across the mask boundary."""
     _check_field(u, g)
     out = np.zeros_like(u)
-    for axis, h in enumerate(g.spacings):
-        if g.shape[axis] == 1:
-            continue
-        for term in _neighbor_terms(u, mask.inside, axis, h):
-            out += term
-    return apply_mask(out, mask)
+    for lo, hi, h in _faces(g):
+        q = _face_flux(u, lo, hi, h, mask)
+        out[lo] += q
+        out[hi] -= q
+    return out
 
 
 def grad_dot(u: np.ndarray, v: np.ndarray, g: Grid3, mask: DomainMask) -> np.ndarray:
@@ -188,21 +190,41 @@ def grad_dot(u: np.ndarray, v: np.ndarray, g: Grid3, mask: DomainMask) -> np.nda
     _check_field(u, g)
     _check_field(v, g)
     out = np.zeros(g.shape)
-    for axis, h in enumerate(g.spacings):
-        if g.shape[axis] == 1:
-            continue
-        du = list(_neighbor_terms(u, mask.inside, axis, h))
-        dv = list(_neighbor_terms(v, mask.inside, axis, h))
-        # _neighbor_terms returns (neighbor-center)/h^2; their dot product
-        # times h^2/2 is the half-sum of one-sided difference pairings.
-        for a, b in zip(du, dv):
-            out += 0.5 * h**2 * np.einsum("...k,...k->...", a, b)
-    return np.where(mask.inside, out, 0.0)
+    for lo, hi, h in _faces(g):
+        qu = _face_flux(u, lo, hi, h, mask)
+        qv = qu if v is u else _face_flux(v, lo, hi, h, mask)
+        # the fluxes are differences over h^2, so h^2/2 times their product
+        # is half the one-sided pairing; each face feeds both of its cells
+        c = 0.5 * h**2 * dot3(qu, qv)
+        out[lo] += c
+        out[hi] += c
+    return out
 
 
 def grad_sq(u: np.ndarray, g: Grid3, mask: DomainMask) -> np.ndarray:
     """Pointwise |grad u|^2 (half-sum one-sided differences)."""
     return grad_dot(u, u, g, mask)
+
+
+def neumann_eigenvalues(g: Grid3) -> np.ndarray:
+    """Eigenvalues of -laplacian_neumann on the full box, indexed by cosine
+    mode (kx, ky, kz).
+
+    Mode k along an axis of n cells is cos(pi k (i + 1/2) / n), the type-II
+    DCT basis, with eigenvalue (2/h^2)(1 - cos(pi k / n)); the 3-D
+    eigenvalue is the sum over axes. On a masked domain the stencil has
+    other eigenvectors, see require_full_box.
+    """
+    mu = [(2.0 / h**2) * (1.0 - np.cos(np.pi * np.arange(n) / n))
+          for n, h in zip(g.shape, g.spacings)]
+    return mu[0][:, None, None] + mu[1][None, :, None] + mu[2][None, None, :]
+
+
+def require_full_box(mask: DomainMask, what: str) -> None:
+    """Reject a masked domain for an operation built on the cosine spectrum:
+    the cosine modes diagonalize laplacian_neumann on the full box only."""
+    if not np.all(mask.inside):
+        raise ModeMismatchError(f"{what} requires a full-box domain mask")
 
 
 def dot3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -242,10 +264,6 @@ def inner_products(u: np.ndarray, v: np.ndarray, g: Grid3,
 def norm_l2(u: np.ndarray, g: Grid3, mask: DomainMask) -> float:
     dV = mask.cell_volume
     return float(np.sqrt(np.sum(dot3(u, u)[mask.inside]) * dV))
-
-
-def norm_h2(u: np.ndarray, g: Grid3, mask: DomainMask) -> float:
-    return float(np.sqrt(inner_products(u, u, g, mask)["h2"]))
 
 
 def normalize_pointwise(u: np.ndarray, mask: DomainMask) -> np.ndarray:

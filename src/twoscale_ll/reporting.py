@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 import numpy as np
@@ -34,29 +33,6 @@ def table_to_csv(columns: dict[str, Sequence]) -> str:
     for i in range(n):
         lines.append(",".join(_fmt(columns[k][i]) for k in names))
     return "\n".join(lines) + "\n"
-
-
-def emit_report(records: dict[str, RunRecord], fmt: str, path: str) -> list[str]:
-    """Write one file per named record; returns the written paths."""
-    if not records:
-        raise ValueError("no records to emit")
-    os.makedirs(path, exist_ok=True)
-    written = []
-    for name, rec in records.items():
-        if fmt == "csv":
-            fn = os.path.join(path, f"{name}.csv")
-            with open(fn, "w", newline="\n") as f:
-                f.write(record_to_csv(rec))
-        elif fmt == "svg":
-            fn = os.path.join(path, f"{name}.svg")
-            with open(fn, "w", newline="\n") as f:
-                f.write(svg_line_chart(
-                    [(name, rec.times, rec.dist_h2)], log_y=True,
-                    x_label="t", y_label="dist_h2"))
-        else:
-            raise ValueError(f"unknown report format {fmt!r}")
-        written.append(fn)
-    return written
 
 
 def svg_line_chart(series: list[tuple[str, np.ndarray, np.ndarray]],

@@ -4,7 +4,6 @@ the projector and the parabolic nonlinearity."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -12,66 +11,38 @@ import scipy.fft
 
 from .demag import DemagModel
 from .dynamics import SolverConfig, parabolic_rhs_F
-from .grid import DomainMask, Grid3, inner_products
+from .grid import (
+    DomainMask,
+    Grid3,
+    ModeMismatchError,  # re-exported: raised by require_full_box
+    inner_products,
+    neumann_eigenvalues,
+    require_full_box,
+)
 from .schedule import FieldSchedule
 
 
-class ModeMismatchError(ValueError):
-    """Spectral operations require a full-box mask (the cosine basis
-    diagonalizes the mirror-ghost Neumann Laplacian on the box only)."""
-
-
-def _require_full_box(g: Grid3, mask: DomainMask) -> None:
-    if not np.all(mask.inside):
-        raise ModeMismatchError(
-            "spectral projection requires a full-box domain mask")
-
-
 @lru_cache(maxsize=8)
-def _mode_order(shape: tuple[int, int, int],
-                spacings: tuple[float, float, float]) -> np.ndarray:
+def _mode_order(g: Grid3) -> np.ndarray:
     """Flat indices of all cosine mode triples, ordered by the eigenvalue
     of A = 1 - Laplacian (discrete), ties broken lexicographically."""
-    eigs_axis = []
-    for n, h in zip(shape, spacings):
-        k = np.arange(n)
-        eigs_axis.append((2.0 / h**2) * (1.0 - np.cos(np.pi * k / n)))
-    mu = (eigs_axis[0][:, None, None] + eigs_axis[1][None, :, None]
-          + eigs_axis[2][None, None, :])
-    a = 1.0 + mu
-    flat = a.ravel()
-    triples = np.stack(np.unravel_index(np.arange(flat.size), shape), axis=1)
-    order = np.lexsort((triples[:, 2], triples[:, 1], triples[:, 0], flat))
-    return order
-
-
-@dataclass(frozen=True)
-class NeumannBasis:
-    """First-k cosine mode set of the box, in eigenvalue order."""
-
-    grid: Grid3
-    k: int
-
-    def __post_init__(self):
-        n_total = self.grid.nx * self.grid.ny * self.grid.nz
-        if not 1 <= self.k <= n_total:
-            raise ValueError(f"k must be in [1, {n_total}]")
-
-    def mode_mask(self) -> np.ndarray:
-        order = _mode_order(self.grid.shape, self.grid.spacings)
-        keep = np.zeros(self.grid.nx * self.grid.ny * self.grid.nz, dtype=bool)
-        keep[order[:self.k]] = True
-        return keep.reshape(self.grid.shape)
+    flat = (1.0 + neumann_eigenvalues(g)).ravel()
+    triples = np.stack(np.unravel_index(np.arange(flat.size), g.shape), axis=1)
+    return np.lexsort((triples[:, 2], triples[:, 1], triples[:, 0], flat))
 
 
 def project_Pk(u: np.ndarray, k: int, g: Grid3,
                mask: DomainMask) -> np.ndarray:
     """L2-orthogonal projection onto the first k Neumann cosine modes,
     applied componentwise."""
-    _require_full_box(g, mask)
-    keep = NeumannBasis(g, k).mode_mask()
+    require_full_box(mask, "spectral projection")
+    n_total = g.nx * g.ny * g.nz
+    if not 1 <= k <= n_total:
+        raise ValueError(f"k must be in [1, {n_total}]")
+    keep = np.zeros(n_total, dtype=bool)
+    keep[_mode_order(g)[:k]] = True
     coeffs = scipy.fft.dctn(u, type=2, norm="ortho", axes=(0, 1, 2))
-    coeffs = coeffs * keep[..., None]
+    coeffs = coeffs * keep.reshape(g.shape)[..., None]
     return scipy.fft.idctn(coeffs, type=2, norm="ortho", axes=(0, 1, 2))
 
 
@@ -80,7 +51,7 @@ def commutator_PkF(n: np.ndarray, k: int, t_frozen: float, cfg: SolverConfig,
                    sched: FieldSchedule) -> float:
     """H1 norm of P_k F(t, n) - F(t, P_k n) (raw commutator, P_k n not
     renormalized)."""
-    _require_full_box(g, mask)
+    require_full_box(mask, "spectral projection")
     Fn = parabolic_rhs_F(t_frozen, n, cfg, g, mask, demag, sched)
     FPn = parabolic_rhs_F(t_frozen, project_Pk(n, k, g, mask), cfg, g, mask,
                           demag, sched)

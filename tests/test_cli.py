@@ -127,6 +127,35 @@ epsilon = 0.001
     assert (tmp_path / "hysteresis_loop.svg").read_text().startswith("<svg")
 
 
+def test_evolve_rejects_spectral_solve_on_ellipsoid(tmp_path, capsys):
+    # the default integrator solves in the cosine basis of the full box
+    cfg = _write_cfg(tmp_path, """
+[grid]
+nx = 8
+ny = 8
+nz = 8
+hx = 0.25
+hy = 0.25
+hz = 0.25
+
+[domain]
+shape = ellipsoid
+a = 1.0
+b = 0.9
+c = 0.8
+
+[solver]
+dt = 0.001
+t_final = 0.01
+""")
+    rc = cli.main(["evolve", "--config", cfg, "--out", str(tmp_path),
+                   "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "semi-implicit-spectral" in err
+    assert "full-box" in err
+
+
 def test_dissipation_scan_reports_threshold(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, """
 [experiment]

@@ -20,7 +20,9 @@ from twoscale_ll.dynamics import (
 )
 from twoscale_ll.grid import (
     DomainMask,
+    EllipsoidSpec,
     Grid3,
+    ModeMismatchError,
     constant_field,
     cross3,
     dot3,
@@ -28,7 +30,7 @@ from twoscale_ll.grid import (
     norm_l2,
 )
 from twoscale_ll.linearization import sample_admissible_perturbation
-from twoscale_ll.schedule import FieldSchedule, eval_h_ext
+from twoscale_ll.schedule import FieldSchedule, RotatingDirection, eval_h_ext
 
 from conftest import random_unit_field, up_field
 
@@ -112,6 +114,17 @@ def test_step_fixed_point_at_equilibrium(macrospin, static_field, integrator):
                        integrator=integrator)
     out = step(0.0, m_eq, cfg.dt, cfg, g, mask, demag, static_field)
     assert np.max(np.abs(out - m_eq)) < 1e-10
+
+
+def test_semi_implicit_step_rejects_masked_domain(static_field):
+    # the cosine solve belongs to the stencil on the full box only
+    g = Grid3(8, 8, 8, 0.25, 0.25, 0.25)
+    mask = DomainMask.ellipsoid(g, EllipsoidSpec(1.0, 0.9, 0.8))
+    cfg = SolverConfig(epsilon=0.1, alpha=1.0, T=1.0, dt=1e-3,
+                       integrator="semi-implicit-spectral")
+    with pytest.raises(ModeMismatchError):
+        step(0.0, up_field(g, mask), cfg.dt, cfg, g, mask,
+             FftDemag.for_grid(g), static_field)
 
 
 def test_precession_conserves_field_projection(macrospin, sphere_tensor):
@@ -203,3 +216,20 @@ def test_relax_to_equilibrium_macrospin(macrospin, sphere_tensor,
                                            mask, sphere_tensor, static_field)
     assert converged
     assert np.allclose(m_eq[0, 0, 0], [0.0, 0.0, 1.0], atol=1e-5)
+
+
+def test_relax_to_equilibrium_freezes_a_moving_field(macrospin,
+                                                     sphere_tensor):
+    # rotating field, relaxed at t = 0.3 with the explicit midpoint: the
+    # fixed point must be the equilibrium at 0.3, not at 0.3 + dt/2
+    g, mask = macrospin
+    sched = FieldSchedule(
+        np.array([[0.0, 5.0], [10.0, 5.0]]),
+        RotatingDirection((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 0.5))
+    cfg = SolverConfig(epsilon=0.1, alpha=1.0, T=1.0, dt=0.05,
+                       integrator="projected-explicit")
+    m0 = constant_field(g, (0.0, 0.0, 1.0), mask)
+    m_eq, converged = relax_to_equilibrium(m0, 0.3, 1e-10, 50.0, cfg, g,
+                                           mask, sphere_tensor, sched)
+    assert converged
+    assert np.allclose(m_eq[0, 0, 0], sched.direction.at(0.3), atol=1e-9)

@@ -75,7 +75,28 @@ def test_asymptotics_ladder_shrinks_layer():
     assert taus[1] < taus[0]
     for row in out["summary"]:
         assert row["initial_relax_converged"]
+        assert row["reference_converged"]  # analytic mode has no solves
         assert row["sup_dist_after_tau"] < 0.2
+
+
+def test_asymptotics_reports_reference_convergence():
+    # relaxation-tracked references: a one-step budget at an unreachable
+    # tolerance must surface as reference_converged = False
+    g = Grid3(1, 1, 1)
+    mask = DomainMask.full(g)
+    demag = TensorDemag(np.eye(3) / 3.0)
+    sched = FieldSchedule(
+        np.array([[0.0, 5.0], [10.0, 5.0]]),
+        RotatingDirection((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 0.5))
+    base = dict(eps_ladder=(0.1,), sched=sched, alpha=1.0, T=0.5,
+                perturbation=0.2, seed=1, analytic_equilibrium=False,
+                samples_per_run=10)
+    starved = AsymptoticsPlan(**base, relax_max_T=0.05, relax_dt=0.05,
+                              relax_tol=1e-14)
+    row, = run_asymptotics(starved, g, mask, demag)["summary"]
+    assert row["reference_converged"] is False
+    row, = run_asymptotics(AsymptoticsPlan(**base), g, mask, demag)["summary"]
+    assert row["reference_converged"] is True
 
 
 def test_hysteresis_plan_validation():

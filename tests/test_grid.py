@@ -17,6 +17,7 @@ from twoscale_ll.grid import (
     inner_products,
     laplacian_neumann,
     mean_magnetization,
+    neumann_eigenvalues,
     normalize_pointwise,
 )
 
@@ -79,39 +80,50 @@ def test_laplacian_of_constant_is_zero():
 
 
 def test_laplacian_cosine_eigenfield():
-    # cos(pi k (i + 1/2) / n) is an exact eigenvector of the mirror-ghost
-    # stencil with eigenvalue -(2/h^2)(1 - cos(pi k / n))
-    n, h, k = 16, 0.1, 3
-    g = Grid3(n, 1, 1, h, 1.0, 1.0)
-    mask = DomainMask.full(g)
-    i = np.arange(n)
-    mode = np.cos(np.pi * k * (i + 0.5) / n)
-    u = np.zeros(g.shape + (3,))
-    u[:, 0, 0, 2] = mode
-    lam = -(2.0 / h**2) * (1.0 - np.cos(np.pi * k / n))
-    lap = laplacian_neumann(u, g, mask)
-    assert np.allclose(lap[:, 0, 0, 2], lam * mode, atol=1e-11)
+    # products of cos(pi k (i + 1/2) / n) are exact eigenvectors of the
+    # mirror-ghost stencil, with the eigenvalues of neumann_eigenvalues
+    for g, k in ((Grid3(16, 1, 1, 0.1, 1.0, 1.0), (3, 0, 0)),
+                 (Grid3(8, 6, 5, 0.1, 0.2, 0.15), (3, 2, 4))):
+        mask = DomainMask.full(g)
+        x, y, z = (np.cos(np.pi * kk * (np.arange(n) + 0.5) / n)
+                   for kk, n in zip(k, g.shape))
+        mode = x[:, None, None] * y[None, :, None] * z[None, None, :]
+        u = np.zeros(g.shape + (3,))
+        u[..., 2] = mode
+        lam = -neumann_eigenvalues(g)[k]
+        lap = laplacian_neumann(u, g, mask)
+        assert np.allclose(lap[..., 2], lam * mode, atol=1e-11)
+        assert np.max(np.abs(lap[..., :2])) == 0.0
+
+
+def _stencil_domains(box):
+    """The given full box, a staircase ellipsoid mask, and a grid with one
+    degenerate (single-cell) axis."""
+    ge = Grid3(10, 10, 10, 0.25, 0.25, 0.25)
+    gd = Grid3(10, 1, 7, 0.1, 1, 0.2)
+    me = DomainMask.ellipsoid(ge, EllipsoidSpec(1.0, 0.9, 0.8))
+    return (("box", box, DomainMask.full(box)),
+            ("ellipsoid", ge, me),
+            ("degenerate axis", gd, DomainMask.full(gd)))
 
 
 def test_green_identity_symmetric():
-    g = Grid3(7, 6, 5, 0.11, 0.13, 0.17)
-    mask = DomainMask.full(g)
-    rng = np.random.default_rng(0)
-    u = rng.standard_normal(g.shape + (3,))
-    v = rng.standard_normal(g.shape + (3,))
-    dV = mask.cell_volume
-    a = np.sum(dot3(laplacian_neumann(u, g, mask), v)) * dV
-    b = np.sum(dot3(u, laplacian_neumann(v, g, mask))) * dV
-    assert abs(a - b) <= 1e-12 * max(abs(a), 1.0)
+    for name, g, mask in _stencil_domains(Grid3(7, 6, 5, 0.11, 0.13, 0.17)):
+        rng = np.random.default_rng(0)
+        u = rng.standard_normal(g.shape + (3,))
+        v = rng.standard_normal(g.shape + (3,))
+        dV = mask.cell_volume
+        a = np.sum(dot3(laplacian_neumann(u, g, mask), v)) * dV
+        b = np.sum(dot3(u, laplacian_neumann(v, g, mask))) * dV
+        assert abs(a - b) <= 1e-12 * max(abs(a), 1.0), name
 
 
 def test_grad_sq_matches_minus_m_dot_laplacian_on_unit_fields():
-    g = Grid3(9, 9, 9, 0.1, 0.1, 0.1)
-    mask = DomainMask.full(g)
-    m = random_unit_field(g, mask, 5)
-    gsq = grad_sq(m, g, mask)
-    mdl = -dot3(m, laplacian_neumann(m, g, mask))
-    assert np.max(np.abs(gsq - mdl)) < 1e-10 * np.max(np.abs(gsq))
+    for name, g, mask in _stencil_domains(Grid3(9, 9, 9, 0.1, 0.1, 0.1)):
+        m = random_unit_field(g, mask, 5)
+        gsq = grad_sq(m, g, mask)
+        mdl = -dot3(m, laplacian_neumann(m, g, mask))
+        assert np.max(np.abs(gsq - mdl)) < 1e-10 * np.max(np.abs(gsq)), name
 
 
 def test_grad_dot_bilinear_symmetric():

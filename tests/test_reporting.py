@@ -6,7 +6,6 @@ import pytest
 from twoscale_ll.dynamics import RunRecord
 from twoscale_ll.reporting import (
     CSV_HEADER,
-    emit_report,
     record_to_csv,
     svg_line_chart,
     table_to_csv,
@@ -89,22 +88,3 @@ def test_svg_deterministic():
     a = svg_line_chart([("x", t, np.cos(t))])
     b = svg_line_chart([("x", t, np.cos(t))])
     assert a == b
-
-
-def test_emit_report_csv_and_svg(tmp_path):
-    recs = {"run1": _record(4), "run2": _record(6)}
-    out_csv = emit_report(recs, "csv", str(tmp_path / "csv"))
-    assert sorted(p.split("/")[-1] for p in out_csv) == ["run1.csv",
-                                                         "run2.csv"]
-    body = open(out_csv[0]).read()
-    assert body.splitlines()[0] == CSV_HEADER
-    out_svg = emit_report(recs, "svg", str(tmp_path / "svg"))
-    assert all(p.endswith(".svg") for p in out_svg)
-    assert open(out_svg[0]).read().startswith("<svg")
-
-
-def test_emit_report_bad_format(tmp_path):
-    with pytest.raises(ValueError):
-        emit_report({"r": _record(2)}, "png", str(tmp_path))
-    with pytest.raises(ValueError):
-        emit_report({}, "csv", str(tmp_path))
