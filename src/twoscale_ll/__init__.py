@@ -7,6 +7,7 @@ linearized stability, stiff time integration on the unit sphere, spectral
 Galerkin diagnostics, and hysteresis loops.
 """
 
+from .config import ConfigError
 from .demag import (
     FftDemag,
     TensorDemag,
@@ -34,9 +35,12 @@ from .experiments import (
     run_hysteresis,
 )
 from .grid import (
+    DegenerateCellError,
     DomainMask,
     EllipsoidSpec,
     Grid3,
+    ModeMismatchError,
+    ShapeMismatchError,
     constant_field,
     inner_products,
     laplacian_neumann,

@@ -5,6 +5,7 @@ frozen-time relaxation flow used to produce equilibria."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import ceil
 from typing import Callable
 
 import numpy as np
@@ -58,12 +59,14 @@ class SolverConfig:
 
 
 def resolve_dt(cfg: SolverConfig, g: Grid3) -> float:
-    """Fixed dt if given, else the diffusion-CFL policy for explicit runs."""
+    """Fixed dt if given, else the diffusion-CFL policy for explicit runs,
+    shortened so that it divides T when T > 0."""
     if cfg.dt is not None:
         return cfg.dt
     if cfg.integrator == "projected-explicit" and not g.is_macrospin:
         h2 = min(h**2 for h, n in zip(g.spacings, g.shape) if n > 1)
-        return 0.2 * cfg.epsilon * h2 / (6.0 * cfg.alpha)
+        dt = 0.2 * cfg.epsilon * h2 / (6.0 * cfg.alpha)
+        return cfg.T / ceil(cfg.T / dt) if cfg.T > 0 else dt
     raise ValueError("dt must be set explicitly for this configuration")
 
 
@@ -83,6 +86,8 @@ class RunRecord:
         for col in (self.lam, self.energy, self.residual, self.dist_h2):
             if len(col) != n:
                 raise ValueError("record columns must have equal length")
+        if np.shape(self.mean) != (n, 3):
+            raise ValueError(f"record mean must have shape ({n}, 3)")
         if np.any(np.diff(self.times) < 0):
             raise ValueError("record times must be increasing")
 
@@ -90,19 +95,24 @@ class RunRecord:
 def total_field(t: float, m: np.ndarray, g: Grid3, mask: DomainMask,
                 demag: DemagModel, sched: FieldSchedule) -> np.ndarray:
     """h_T = exchange Laplacian + demag + exterior field."""
-    h = demag_field(demag, m, g, mask) + eval_h_ext(sched, t, g, mask)
-    if not g.is_macrospin:
-        h = h + laplacian_neumann(m, g, mask)
+    h = demag_field(demag, m, g, mask) + eval_h_ext(sched, t, g, mask) \
+        + laplacian_neumann(m, g, mask)
     return apply_mask(h, mask)
+
+
+def _ll_torque(m: np.ndarray, h: np.ndarray, alpha: float,
+               eps: float) -> np.ndarray:
+    """(1/eps) [ m ^ h - alpha m ^ (m ^ h) ] for any field h."""
+    mxh = cross3(m, h)
+    return (mxh - alpha * cross3(m, mxh)) / eps
 
 
 def ll_rhs(t: float, m: np.ndarray, cfg: SolverConfig, g: Grid3,
            mask: DomainMask, demag: DemagModel,
            sched: FieldSchedule) -> np.ndarray:
     """(1/eps) [ m ^ h_T - alpha m ^ (m ^ h_T) ]."""
-    h = total_field(t, m, g, mask, demag, sched)
-    mxh = cross3(m, h)
-    return (mxh - cfg.alpha * cross3(m, mxh)) / cfg.epsilon
+    return _ll_torque(m, total_field(t, m, g, mask, demag, sched),
+                      cfg.alpha, cfg.epsilon)
 
 
 def parabolic_rhs_F(t: float, m: np.ndarray, cfg: SolverConfig, g: Grid3,
@@ -115,15 +125,11 @@ def parabolic_rhs_F(t: float, m: np.ndarray, cfg: SolverConfig, g: Grid3,
     parabolic reformulation).
     """
     hd_ext = demag_field(demag, m, g, mask) + eval_h_ext(sched, t, g, mask)
-    if g.is_macrospin:
-        h = hd_ext
-        gsq = np.zeros(g.shape)
-    else:
-        lap = laplacian_neumann(m, g, mask)
-        h = hd_ext + lap
-        # on unit fields -m.Lap(m) equals the half-sum one-sided |grad m|^2
-        # exactly; reusing the Laplacian avoids a second stencil sweep
-        gsq = -dot3(m, lap)
+    lap = laplacian_neumann(m, g, mask)
+    h = hd_ext + lap
+    # on unit fields -m.Lap(m) equals the half-sum one-sided |grad m|^2
+    # exactly; reusing the Laplacian avoids a second stencil sweep
+    gsq = -dot3(m, lap)
     out = cross3(m, h) + cfg.alpha * gsq[..., None] * m \
         - cfg.alpha * cross3(m, cross3(m, hd_ext))
     return apply_mask(out, mask)
@@ -172,11 +178,9 @@ def energy(t: float, m: np.ndarray, cfg: SolverConfig, g: Grid3,
     w = mask.inside
     hd = demag_field(demag, m, g, mask)
     he = eval_h_ext(sched, t, g, mask)
-    e = -0.5 * float(np.sum(dot3(m, hd)[w])) * dV \
-        - float(np.sum(dot3(m, he)[w])) * dV
-    if not g.is_macrospin:
-        e += 0.5 * float(np.sum(grad_sq(m, g, mask)[w])) * dV
-    return e
+    return -0.5 * float(np.sum(dot3(m, hd)[w])) * dV \
+        - float(np.sum(dot3(m, he)[w])) * dV \
+        + 0.5 * float(np.sum(grad_sq(m, g, mask)[w])) * dV
 
 
 def equilibrium_residual(t: float, m: np.ndarray, g: Grid3, mask: DomainMask,
@@ -193,14 +197,17 @@ def integrate(m0: np.ndarray, cfg: SolverConfig, g: Grid3, mask: DomainMask,
               ) -> tuple[RunRecord, np.ndarray]:
     """Advance the LL flow over [t0, t0+T], sampling diagnostics.
 
-    reference(t), when given, supplies the field against which the H2
-    distance column is measured. On blow-up the partial record is attached
-    to the raised BlowUpError.
+    The step dt must divide T (relative tolerance 1e-9), so the run ends
+    at t0 + T; otherwise ValueError. reference(t), when given, supplies the
+    field against which the H2 distance column is measured. On blow-up the
+    partial record is attached to the raised BlowUpError.
     """
     from .grid import inner_products
 
     dt = resolve_dt(cfg, g) if cfg.T > 0 else 1.0
-    n_steps = int(round(cfg.T / dt)) if cfg.T > 0 else 0
+    n_steps = int(round(cfg.T / dt))
+    if abs(n_steps * dt - cfg.T) > 1e-9 * cfg.T:
+        raise ValueError(f"dt = {dt} does not divide T = {cfg.T}")
 
     cols: dict[str, list] = {k: [] for k in
                              ("times", "lam", "mean", "energy", "residual",

@@ -9,22 +9,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.integrate
 
-from .demag import DemagModel, TensorDemag, demag_tensor_estimate
+from .demag import DemagModel, demag_tensor_estimate
 from .dynamics import (
     RunRecord,
     SolverConfig,
-    energy,
-    equilibrium_residual,
+    _ll_torque,
     integrate,
     relax_to_equilibrium,
 )
-from .grid import (
-    DomainMask,
-    EllipsoidSpec,
-    Grid3,
-    constant_field,
-    normalize_pointwise,
-)
+from .grid import DomainMask, EllipsoidSpec, Grid3, constant_field
 from .linearization import sample_admissible_perturbation
 from .schedule import FieldSchedule, FixedDirection
 
@@ -223,8 +216,7 @@ def run_hysteresis(plan: HysteresisPlan) -> dict:
 
     def rhs(t: float, m: np.ndarray) -> np.ndarray:
         h = -(D @ m) + np.interp(t, knots_t, knots_v) * u_field + h_bias
-        mxh = np.cross(m, h)
-        return (mxh - alpha * np.cross(m, mxh)) / eps
+        return _ll_torque(m, h, alpha, eps)
 
     t_end = n_periods * plan.period
     t_eval = np.arange(0.0, t_end + 0.5 * plan.dt, plan.dt)
@@ -236,17 +228,10 @@ def run_hysteresis(plan: HysteresisPlan) -> dict:
     m_path = sol.y.T
     m_path /= np.linalg.norm(m_path, axis=1, keepdims=True)
 
-    g = Grid3(1, 1, 1)
-    mask = DomainMask.full(g)
-    demag = TensorDemag(D)
-    cfg = SolverConfig(epsilon=eps, alpha=alpha, T=t_end, dt=plan.dt,
-                       integrator="projected-explicit")
-    rec = _macrospin_record(sol.t, m_path, u, cfg, g, mask, demag, sched)
-
     m_dot_u = m_path @ u
     t_meas = plan.n_warmup_periods * plan.period
     meas = sol.t >= t_meas - 1e-12
-    lam = rec.lam[meas]
+    lam = np.interp(sol.t, knots_t, knots_v)[meas]
     mu = m_dot_u[meas]
     times = sol.t[meas]
 
@@ -264,7 +249,6 @@ def run_hysteresis(plan: HysteresisPlan) -> dict:
     return {
         "lam": lam,
         "m_dot_u": mu,
-        "record": rec,
         "D": D,
         "easy_axis": u,
         "d_axis": d_axis,
@@ -275,30 +259,6 @@ def run_hysteresis(plan: HysteresisPlan) -> dict:
         "loop_area": area,
         "loop_closure": closure,
     }
-
-
-def _macrospin_record(times: np.ndarray, m_path: np.ndarray, u: np.ndarray,
-                      cfg: SolverConfig, g: Grid3, mask: DomainMask,
-                      demag: DemagModel, sched: FieldSchedule) -> RunRecord:
-    """Assemble the standard diagnostics record from a sampled macrospin
-    path; the reference for the distance column is the nearer of +-u."""
-    n = len(times)
-    lam = np.empty(n)
-    en = np.empty(n)
-    res = np.empty(n)
-    dist = np.empty(n)
-    for i in range(n):
-        m = m_path[i].reshape(1, 1, 1, 3)
-        t = float(times[i])
-        lam[i] = sched.amplitude(t)
-        en[i] = energy(t, m, cfg, g, mask, demag, sched)
-        res[i] = equilibrium_residual(t, m, g, mask, demag, sched)
-        sgn = 1.0 if float(m_path[i] @ u) >= 0 else -1.0
-        dist[i] = np.linalg.norm(m_path[i] - sgn * u) * np.sqrt(
-            mask.cell_volume)
-    return RunRecord(times=np.asarray(times, dtype=float), lam=lam,
-                     mean=np.array(m_path, dtype=float), energy=en,
-                     residual=res, dist_h2=dist)
 
 
 def _switching_field(lam: np.ndarray, mu: np.ndarray) -> float:

@@ -9,6 +9,7 @@ cell centers. Values on cells outside the domain mask are kept at zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -206,9 +207,10 @@ def grad_sq(u: np.ndarray, g: Grid3, mask: DomainMask) -> np.ndarray:
     return grad_dot(u, u, g, mask)
 
 
+@lru_cache(maxsize=8)
 def neumann_eigenvalues(g: Grid3) -> np.ndarray:
     """Eigenvalues of -laplacian_neumann on the full box, indexed by cosine
-    mode (kx, ky, kz).
+    mode (kx, ky, kz); cached per grid and read-only.
 
     Mode k along an axis of n cells is cos(pi k (i + 1/2) / n), the type-II
     DCT basis, with eigenvalue (2/h^2)(1 - cos(pi k / n)); the 3-D
@@ -217,7 +219,9 @@ def neumann_eigenvalues(g: Grid3) -> np.ndarray:
     """
     mu = [(2.0 / h**2) * (1.0 - np.cos(np.pi * np.arange(n) / n))
           for n, h in zip(g.shape, g.spacings)]
-    return mu[0][:, None, None] + mu[1][None, :, None] + mu[2][None, None, :]
+    out = mu[0][:, None, None] + mu[1][None, :, None] + mu[2][None, None, :]
+    out.flags.writeable = False
+    return out
 
 
 def require_full_box(mask: DomainMask, what: str) -> None:
@@ -233,8 +237,8 @@ def dot3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def cross3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pointwise cross product (manual expansion, faster than np.cross
-    on the small arrays used in macrospin stepping)."""
+    """Pointwise cross product (manual expansion, faster than numpy's
+    cross on the small arrays used in macrospin stepping)."""
     out = np.empty_like(u)
     out[..., 0] = u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1]
     out[..., 1] = u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2]

@@ -67,16 +67,10 @@ def linearized_apply(t: float, m_eq: np.ndarray, delta: np.ndarray,
     h_ext = eval_h_ext(sched, t, g, mask)
     hde = hd_eq + h_ext
     hd_delta = demag_field(demag, delta, g, mask)
-    if g.is_macrospin:
-        lap_delta = np.zeros_like(delta)
-        gsq_eq = np.zeros(g.shape)
-        gdot = np.zeros(g.shape)
-        h_T_eq = hde
-    else:
-        lap_delta = laplacian_neumann(delta, g, mask)
-        gsq_eq = grad_sq(m_eq, g, mask)
-        gdot = grad_dot(m_eq, delta, g, mask)
-        h_T_eq = hde + laplacian_neumann(m_eq, g, mask)
+    lap_delta = laplacian_neumann(delta, g, mask)
+    gsq_eq = grad_sq(m_eq, g, mask)
+    gdot = grad_dot(m_eq, delta, g, mask)
+    h_T_eq = hde + laplacian_neumann(m_eq, g, mask)
     out = (alpha * gsq_eq[..., None] * delta
            + 2.0 * alpha * gdot[..., None] * m_eq
            + cross3(delta, h_T_eq)
@@ -101,14 +95,9 @@ def remainder_apply(t: float, m_eq: np.ndarray, delta: np.ndarray,
     h_ext = eval_h_ext(sched, t, g, mask)
     hde = hd_eq + h_ext
     hd_delta = demag_field(demag, delta, g, mask)
-    if g.is_macrospin:
-        lap_delta = np.zeros_like(delta)
-        gdot = np.zeros(g.shape)
-        gsq_d = np.zeros(g.shape)
-    else:
-        lap_delta = laplacian_neumann(delta, g, mask)
-        gdot = grad_dot(m_eq, delta, g, mask)
-        gsq_d = grad_sq(delta, g, mask)
+    lap_delta = laplacian_neumann(delta, g, mask)
+    gdot = grad_dot(m_eq, delta, g, mask)
+    gsq_d = grad_sq(delta, g, mask)
     out = (2.0 * alpha * gdot[..., None] * delta
            + alpha * gsq_d[..., None] * (m_eq + delta)
            + cross3(delta, lap_delta + hd_delta)
@@ -130,10 +119,7 @@ def constant_equilibrium_apply(ce: ConstantEquilibrium, delta: np.ndarray,
     s = float(ce.sign)
     u = constant_field(g, ce.u, mask)
     hd_delta = demag_field(demag, delta, g, mask)
-    if g.is_macrospin:
-        lap_delta = np.zeros_like(delta)
-    else:
-        lap_delta = laplacian_neumann(delta, g, mask)
+    lap_delta = laplacian_neumann(delta, g, mask)
     out = ((ce.lam - s * ce.d) * cross3(delta, u)
            + s * cross3(u, lap_delta + hd_delta)
            + alpha * (ce.d - s * ce.lam) * cross3(u, cross3(delta, u))
@@ -198,9 +184,9 @@ def dissipation_scan(D: np.ndarray, u: np.ndarray, lambdas, alpha: float,
     D = np.asarray(D, dtype=float)
     u = np.asarray(u, dtype=float)
     d = float(u @ D @ u)
-    demag = TensorDemag(D) if g.is_macrospin else None
-    if demag is None:
+    if not g.is_macrospin:
         raise ValueError("dissipation_scan currently runs in macrospin mode")
+    demag = TensorDemag(D)
     rows = []
     threshold = None
     for lam in lambdas:

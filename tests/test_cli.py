@@ -77,6 +77,15 @@ def test_evolve_writes_record_csv(tmp_path):
     assert np.hypot(last[2], last[3]) <= 1.0 + 1e-12
 
 
+def test_evolve_rejects_dt_that_does_not_divide_t_final(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, MACROSPIN_CFG.replace("dt = 0.01",
+                                                     "dt = 0.03"))
+    rc = cli.main(["evolve", "--config", cfg, "--out", str(tmp_path),
+                   "--quiet"])
+    assert rc == 1
+    assert "dt = 0.03 does not divide T = 0.5" in capsys.readouterr().err
+
+
 def test_relax_reports_convergence(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, MACROSPIN_CFG)
     rc = cli.main(["relax", "--config", cfg, "--out", str(tmp_path)])

@@ -56,6 +56,12 @@ def test_resolve_dt_policy():
     with pytest.raises(ValueError):
         resolve_dt(SolverConfig(epsilon=0.2, alpha=1.0, T=1.0,
                                 integrator="semi-implicit-spectral"), g)
+    # the policy value is shortened to divide T
+    short = SolverConfig(epsilon=0.2, alpha=1.0, T=0.01234,
+                         integrator="projected-explicit")
+    dt = resolve_dt(short, g)
+    assert dt <= 0.2 * 0.2 * 0.01 / 6.0
+    assert short.T / dt == pytest.approx(round(short.T / dt), rel=1e-12)
 
 
 def test_run_record_validation():
@@ -65,6 +71,8 @@ def test_run_record_validation():
         RunRecord(t, np.zeros(3), np.zeros((2, 3)), col, col, col)
     with pytest.raises(ValueError):
         RunRecord(np.array([1.0, 0.0]), col, np.zeros((2, 3)), col, col, col)
+    with pytest.raises(ValueError):
+        RunRecord(t, col, np.zeros((5, 3)), col, col, col)
 
 
 def test_total_field_assembly(box12, demag12, static_field):
@@ -204,6 +212,27 @@ def test_integrate_sampling_and_columns(macrospin, sphere_tensor,
     assert rec.lam[0] == pytest.approx(0.7)
     assert np.all(rec.dist_h2 < 1e-10)  # started at the equilibrium
     assert np.allclose(m_final, m0, atol=1e-10)
+
+
+def test_integrate_ends_at_T_or_refuses(macrospin, sphere_tensor,
+                                        static_field):
+    # a dt that does not divide T used to stop short (0.4) or overshoot (0.6)
+    g, mask = macrospin
+    m0 = up_field(g, mask)
+    for dt in (0.4, 0.6):
+        cfg = SolverConfig(epsilon=0.1, alpha=1.0, T=1.0, dt=dt,
+                           integrator="projected-explicit")
+        with pytest.raises(ValueError, match=f"dt = {dt} .* T = 1.0"):
+            integrate(m0, cfg, g, mask, sphere_tensor, static_field)
+    # the explicit CFL policy (T / dt = 3.6 before shortening) ends at T
+    g4 = Grid3(4, 1, 1, 0.5, 1.0, 1.0)
+    mask4 = DomainMask.full(g4)
+    cfg = SolverConfig(epsilon=1.0, alpha=1.0, T=0.03,
+                       integrator="projected-explicit")
+    rec, _ = integrate(up_field(g4, mask4), cfg, g4, mask4,
+                       FftDemag.for_grid(g4), static_field)
+    assert len(rec.times) == 5
+    assert rec.times[-1] == pytest.approx(0.03, rel=1e-12)
 
 
 def test_relax_to_equilibrium_macrospin(macrospin, sphere_tensor,

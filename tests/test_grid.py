@@ -77,6 +77,14 @@ def test_laplacian_of_constant_is_zero():
     me = DomainMask.ellipsoid(ge, EllipsoidSpec(1.0, 0.9, 0.8))
     ue = constant_field(ge, (0.3, -1.2, 0.5), me)
     assert np.max(np.abs(laplacian_neumann(ue, ge, me))) == 0.0
+    # every field on one cell is constant: the stencil has no faces there,
+    # so the Laplacian and both gradient pairings are exact zeros
+    g1 = Grid3(1, 1, 1)
+    m1 = DomainMask.full(g1)
+    u1, v1 = np.random.default_rng(0).standard_normal((2, 1, 1, 1, 3))
+    assert np.all(laplacian_neumann(u1, g1, m1) == 0.0)
+    assert np.all(grad_dot(u1, v1, g1, m1) == 0.0)
+    assert np.all(grad_sq(u1, g1, m1) == 0.0)
 
 
 def test_laplacian_cosine_eigenfield():
@@ -94,6 +102,14 @@ def test_laplacian_cosine_eigenfield():
         lap = laplacian_neumann(u, g, mask)
         assert np.allclose(lap[..., 2], lam * mode, atol=1e-11)
         assert np.max(np.abs(lap[..., :2])) == 0.0
+
+
+def test_neumann_eigenvalues_cached_read_only():
+    g = Grid3(6, 5, 4, 0.1, 0.2, 0.3)
+    lam = neumann_eigenvalues(g)
+    assert neumann_eigenvalues(Grid3(6, 5, 4, 0.1, 0.2, 0.3)) is lam
+    with pytest.raises(ValueError):
+        lam[0, 0, 0] = 1.0
 
 
 def _stencil_domains(box):
