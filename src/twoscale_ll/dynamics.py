@@ -4,14 +4,14 @@ frozen-time relaxation flow used to produce equilibria."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from math import ceil
 from typing import Callable
 
 import numpy as np
 import scipy.fft
 
-from .demag import DemagModel, FftDemag, TensorDemag, demag_field
+from .demag import DemagModel, demag_field
 from .grid import (
     DomainMask,
     Grid3,
@@ -26,7 +26,7 @@ from .grid import (
     normalize_pointwise,
     require_full_box,
 )
-from .schedule import FieldSchedule, FixedDirection, d_dt_h_ext, eval_h_ext
+from .schedule import FieldSchedule, eval_h_ext
 
 
 class BlowUpError(RuntimeError):
@@ -68,6 +68,15 @@ def resolve_dt(cfg: SolverConfig, g: Grid3) -> float:
         dt = 0.2 * cfg.epsilon * h2 / (6.0 * cfg.alpha)
         return cfg.T / ceil(cfg.T / dt) if cfg.T > 0 else dt
     raise ValueError("dt must be set explicitly for this configuration")
+
+
+def _n_steps(T: float, dt: float) -> int:
+    """Number of steps of size dt that make up T; ValueError unless dt
+    divides T (relative tolerance 1e-9)."""
+    n = int(round(T / dt))
+    if abs(n * dt - T) > 1e-9 * T:
+        raise ValueError(f"dt = {dt} does not divide T = {T}")
+    return n
 
 
 @dataclass
@@ -135,6 +144,17 @@ def parabolic_rhs_F(t: float, m: np.ndarray, cfg: SolverConfig, g: Grid3,
     return apply_mask(out, mask)
 
 
+def _cosine_solve(rhs: np.ndarray, shift: float, alpha: float, g: Grid3,
+                  mask: DomainMask) -> np.ndarray:
+    """Solve (shift - alpha Lap) u = rhs in the Neumann cosine basis of the
+    box; ModeMismatchError on a masked domain."""
+    require_full_box(mask, "the semi-implicit-spectral integrator")
+    denom = shift + alpha * neumann_eigenvalues(g)
+    fr = scipy.fft.dctn(rhs, type=2, norm="ortho", axes=(0, 1, 2))
+    return scipy.fft.idctn(fr / denom[..., None], type=2, norm="ortho",
+                           axes=(0, 1, 2))
+
+
 def step(t: float, m: np.ndarray, dt: float, cfg: SolverConfig, g: Grid3,
          mask: DomainMask, demag: DemagModel,
          sched: FieldSchedule) -> np.ndarray:
@@ -149,15 +169,10 @@ def step(t: float, m: np.ndarray, dt: float, cfg: SolverConfig, g: Grid3,
         k2 = ll_rhs(t + 0.5 * dt, mh, cfg, g, mask, demag, sched)
         out = m + dt * k2
     else:
-        # (eps/dt - alpha Lap) m+ = (eps/dt) m + F(t, m), solved in the
-        # Neumann cosine basis of the bounding box.
-        require_full_box(mask, "the semi-implicit-spectral integrator")
+        # (eps/dt - alpha Lap) m+ = (eps/dt) m + F(t, m)
         rhs = (cfg.epsilon / dt) * m \
             + parabolic_rhs_F(t, m, cfg, g, mask, demag, sched)
-        denom = cfg.epsilon / dt + cfg.alpha * neumann_eigenvalues(g)
-        fr = scipy.fft.dctn(rhs, type=2, norm="ortho", axes=(0, 1, 2))
-        out = scipy.fft.idctn(fr / denom[..., None], type=2, norm="ortho",
-                              axes=(0, 1, 2))
+        out = _cosine_solve(rhs, cfg.epsilon / dt, cfg.alpha, g, mask)
     if not np.all(np.isfinite(out)):
         raise BlowUpError(t + dt)
     if cfg.renormalize:
@@ -205,9 +220,7 @@ def integrate(m0: np.ndarray, cfg: SolverConfig, g: Grid3, mask: DomainMask,
     from .grid import inner_products
 
     dt = resolve_dt(cfg, g) if cfg.T > 0 else 1.0
-    n_steps = int(round(cfg.T / dt))
-    if abs(n_steps * dt - cfg.T) > 1e-9 * cfg.T:
-        raise ValueError(f"dt = {dt} does not divide T = {cfg.T}")
+    n_steps = _n_steps(cfg.T, dt)
 
     cols: dict[str, list] = {k: [] for k in
                              ("times", "lam", "mean", "energy", "residual",
@@ -252,31 +265,60 @@ def integrate(m0: np.ndarray, cfg: SolverConfig, g: Grid3, mask: DomainMask,
 def relax_to_equilibrium(m0: np.ndarray, t_frozen: float, tol: float,
                          max_T: float, cfg: SolverConfig, g: Grid3,
                          mask: DomainMask, demag: DemagModel,
-                         sched: FieldSchedule, check_every: int = 20,
-                         ) -> tuple[np.ndarray, bool]:
-    """Frozen-time relaxation: integrate the LL flow with h_ext fixed at
-    t_frozen and eps = 1 until the torque residual drops below tol.
+                         sched: FieldSchedule) -> tuple[np.ndarray, bool]:
+    """Frozen-time relaxation: run a damping-only pseudo-time flow, with
+    h_ext held at its t_frozen value, until the torque residual
+    ||m ^ h_T||_L2 drops below tol.
 
-    Returns (final field, whether the tolerance was met within max_T).
+    Equilibria solve m ^ h_T = 0, which does not involve the precession
+    term, so the flow is dm/dtau = -alpha m ^ (m ^ h_T). A step of size
+    tau is, for semi-implicit-spectral (exchange implicit),
+        (1/tau - alpha Lap) m+ = m/tau + alpha (|grad m|^2 m
+                                                - m ^ (m ^ (h_d + h_ext))),
+    and for projected-explicit m+ = m - tau alpha m ^ (m ^ h_T); both are
+    renormalized. The first step is the configured dt (resolve_dt at
+    eps = 1), which is also the floor of the Barzilai-Borwein (BB2) steps
+    tau = (s.y) / (alpha y.y) that follow, with s the change of m and y
+    the change of m ^ (m ^ h_T). BB2 steps may raise the residual for a
+    while by design; a rise after a step at the floor means the floor is
+    too large, so the floor is halved. At most ceil(max_T / dt) steps.
+
+    Returns (final field, whether the tolerance was met).
     """
-    relax_cfg = SolverConfig(epsilon=1.0, alpha=cfg.alpha, T=max_T,
-                             integrator=cfg.integrator, dt=cfg.dt,
-                             renormalize=True)
-    dt = resolve_dt(relax_cfg, g)
-    # hold h_ext at its t_frozen value for all times: the explicit midpoint
-    # reads it at t_frozen + dt/2, and a moving field would shift the fixed
-    # point off the equilibrium at t_frozen
-    lam = sched.amplitude(t_frozen)
-    sched = FieldSchedule(np.array([[t_frozen, lam], [np.inf, lam]]),
-                          FixedDirection(sched.direction.at(t_frozen)),
-                          sched.envelope)
-    m = m0
-    if equilibrium_residual(t_frozen, m, g, mask, demag, sched) < tol:
-        return m, True
+    dt = resolve_dt(replace(cfg, epsilon=1.0, T=max_T), g)
     n_steps = int(np.ceil(max_T / dt))
-    for i in range(n_steps):
-        m = step(t_frozen, m, dt, relax_cfg, g, mask, demag, sched)
-        if (i + 1) % check_every == 0:
-            if equilibrium_residual(t_frozen, m, g, mask, demag, sched) < tol:
-                return m, True
-    return m, equilibrium_residual(t_frozen, m, g, mask, demag, sched) < tol
+    alpha = cfg.alpha
+    h_ext = eval_h_ext(sched, t_frozen, g, mask)
+    m = m0
+    tau = floor = dt
+    prev = None  # (m, m ^ (m ^ h_T), residual) before the last step
+    for i in range(n_steps + 1):
+        # the same sums as total_field, so res is equilibrium_residual
+        h_de = demag_field(demag, m, g, mask) + h_ext
+        lap = laplacian_neumann(m, g, mask)
+        mxh = cross3(m, apply_mask(h_de + lap, mask))
+        res = norm_l2(mxh, g, mask)
+        if res < tol:
+            return m, True
+        if i == n_steps:
+            return m, False
+        grad = cross3(m, mxh)
+        if prev is not None:
+            if res > prev[2] and tau == floor:
+                floor *= 0.5
+            s = m - prev[0]
+            y = grad - prev[1]
+            sy = float(np.sum(s * y))
+            tau = max(floor, sy / (alpha * float(np.sum(y * y)))) \
+                if sy > 0 else floor
+        prev = (m, grad, res)
+        if cfg.integrator == "projected-explicit":
+            out = m - (tau * alpha) * grad
+        else:
+            gsq = -dot3(m, lap)  # |grad m|^2 on unit fields
+            rhs = m / tau + alpha * (gsq[..., None] * m
+                                     - cross3(m, cross3(m, h_de)))
+            out = _cosine_solve(rhs, 1.0 / tau, alpha, g, mask)
+        if not np.all(np.isfinite(out)):
+            raise BlowUpError(t_frozen)
+        m = normalize_pointwise(out, mask)

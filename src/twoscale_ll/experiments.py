@@ -14,6 +14,7 @@ from .dynamics import (
     RunRecord,
     SolverConfig,
     _ll_torque,
+    _n_steps,
     integrate,
     relax_to_equilibrium,
 )
@@ -38,14 +39,28 @@ class AsymptoticsPlan:
     analytic_equilibrium: bool = True  # m_eq(t) = u(t) on a spherical sample
     relax_tol: float = 1e-9
     relax_max_T: float = 50.0
-    relax_dt: float = 0.05          # relaxation runs at eps = 1; any stable
-                                    # dt reaches the same fixed point
+    relax_dt: float = 0.05          # first step and step floor of the
+                                    # damping-only relaxation flow
     samples_per_run: int = 150
 
     def __post_init__(self):
         eps = np.asarray(self.eps_ladder, dtype=float)
         if np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
             raise ValueError("eps ladder must be positive and decreasing")
+        if self.dt_over_eps <= 0:
+            raise ValueError("dt_over_eps must be > 0")
+        for e in self.eps_ladder:
+            _rung_steps(self, e)
+
+
+def _rung_steps(plan: AsymptoticsPlan, eps: float) -> tuple[float, int]:
+    """Step size and step count of the eps rung; ValueError naming eps
+    unless its step divides plan.T."""
+    dt = plan.dt_over_eps * eps
+    try:
+        return dt, _n_steps(plan.T, dt)
+    except ValueError as err:
+        raise ValueError(f"eps = {eps}: {err}") from None
 
 
 def detect_layer_exit(times: np.ndarray, d: np.ndarray,
@@ -121,8 +136,7 @@ def run_asymptotics(plan: AsymptoticsPlan, g: Grid3, mask: DomainMask,
     records: dict[float, RunRecord] = {}
     summary = []
     for eps in plan.eps_ladder:
-        dt = plan.dt_over_eps * eps
-        n_steps = int(round(plan.T / dt))
+        dt, n_steps = _rung_steps(plan, eps)
         sample_every = max(1, n_steps // plan.samples_per_run)
         cfg = SolverConfig(epsilon=eps, alpha=plan.alpha, T=plan.T,
                            integrator=plan.integrator, dt=dt)

@@ -262,3 +262,81 @@ def test_relax_to_equilibrium_freezes_a_moving_field(macrospin,
                                            mask, sphere_tensor, sched)
     assert converged
     assert np.allclose(m_eq[0, 0, 0], sched.direction.at(0.3), atol=1e-9)
+
+
+def _box8():
+    g = Grid3(8, 8, 8, 1 / 8, 1 / 8, 1 / 8)
+    return g, DomainMask.full(g), FftDemag.for_grid(g)
+
+
+def test_relax_to_equilibrium_damping_flow_on_box(static_field):
+    # semi-implicit damping-only flow from a tilted start: below tol, unit,
+    # energy not raised, and the equilibrium of a tight solve from
+    # elsewhere (same basin)
+    g, mask, demag = _box8()
+    cfg = SolverConfig(epsilon=0.1, alpha=1.0, T=1.0, dt=0.05,
+                       integrator="semi-implicit-spectral")
+    m0 = constant_field(g, np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0), mask)
+    m_eq, converged = relax_to_equilibrium(m0, 0.0, 1e-6, 50.0, cfg, g,
+                                           mask, demag, static_field)
+    assert converged
+    assert equilibrium_residual(0.0, m_eq, g, mask, demag,
+                                static_field) < 1e-6
+    assert np.max(np.abs(np.sqrt(dot3(m_eq, m_eq)) - 1.0)) <= 1e-12
+    assert energy(0.0, m_eq, cfg, g, mask, demag, static_field) \
+        <= energy(0.0, m0, cfg, g, mask, demag, static_field)
+    other = constant_field(g, np.array([0.6, -0.8, 1.0]) / np.sqrt(2.0), mask)
+    m_ref, converged = relax_to_equilibrium(other, 0.0, 1e-10, 50.0, cfg, g,
+                                            mask, demag, static_field)
+    assert converged
+    assert np.max(np.abs(m_eq - m_ref)) < 1e-5
+
+
+def test_relax_to_equilibrium_on_ellipsoid_mask():
+    # masked domains relax with the projected-explicit step (CFL-policy
+    # first step); the field stays unit inside and zero outside
+    g = Grid3(12, 12, 12, 2.0 / 12, 1.6 / 12, 1.2 / 12)
+    mask = DomainMask.ellipsoid(g, EllipsoidSpec(1.0, 0.8, 0.6))
+    demag = FftDemag.for_grid(g)
+    sched = FieldSchedule.constant(0.7, (1.0, 0.0, 0.0))
+    cfg = SolverConfig(epsilon=0.1, alpha=1.0, T=1.0,
+                       integrator="projected-explicit")
+    m0 = constant_field(g, np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0), mask)
+    m_eq, converged = relax_to_equilibrium(m0, 0.0, 1e-6, 50.0, cfg, g,
+                                           mask, demag, sched)
+    assert converged
+    assert equilibrium_residual(0.0, m_eq, g, mask, demag, sched) < 1e-6
+    norms = np.sqrt(dot3(m_eq, m_eq))
+    assert np.max(np.abs(norms[mask.inside] - 1.0)) <= 1e-12
+    assert np.all(norms[~mask.inside] == 0.0)
+
+
+def test_relax_to_equilibrium_safeguard_recovers_a_large_dt():
+    # under a field of amplitude 5 a fixed semi-implicit damping step of 0.5
+    # stalls at residual ~1.8; halving the step floor still converges
+    g, mask, demag = _box8()
+    sched = FieldSchedule(
+        np.array([[0.0, 5.0], [10.0, 5.0]]),
+        RotatingDirection((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 0.5))
+    cfg = SolverConfig(epsilon=0.1, alpha=1.0, T=1.0, dt=0.5,
+                       integrator="semi-implicit-spectral")
+    m_eq, converged = relax_to_equilibrium(up_field(g, mask), 0.3, 1e-8,
+                                           50.0, cfg, g, mask, demag, sched)
+    assert converged
+    assert equilibrium_residual(0.3, m_eq, g, mask, demag, sched) < 1e-8
+
+
+def test_integrate_explicit_on_ellipsoid_unit_and_energy_decreasing():
+    g = Grid3(12, 12, 12, 2.0 / 12, 1.6 / 12, 1.2 / 12)
+    mask = DomainMask.ellipsoid(g, EllipsoidSpec(1.0, 0.8, 0.6))
+    demag = FftDemag.for_grid(g)
+    sched = FieldSchedule.constant(0.7, (0.0, 0.0, 1.0))
+    m_eq = up_field(g, mask)
+    m0 = m_eq + sample_admissible_perturbation(m_eq, 0.3, 2, g, mask)
+    cfg = SolverConfig(epsilon=0.5, alpha=1.0, T=0.02,
+                       integrator="projected-explicit")
+    rec, m = integrate(m0, cfg, g, mask, demag, sched)
+    norms = np.sqrt(dot3(m, m))
+    assert np.max(np.abs(norms[mask.inside] - 1.0)) <= 1e-12
+    assert np.all(np.diff(rec.energy) <= 0.0)
+    assert rec.energy[-1] < rec.energy[0]

@@ -44,6 +44,11 @@ def test_asymptotics_plan_validation():
         AsymptoticsPlan((0.1, 0.2), sched, alpha=1.0, T=1.0)  # not decreasing
     with pytest.raises(ValueError):
         AsymptoticsPlan((0.1, -0.05), sched, alpha=1.0, T=1.0)
+    # dt = 0.02 * 0.03 does not divide T: refused before any rung runs
+    with pytest.raises(ValueError, match="eps = 0.03: dt = .* T = 1.0"):
+        AsymptoticsPlan((0.1, 0.03), sched, alpha=1.0, T=1.0)
+    with pytest.raises(ValueError):
+        AsymptoticsPlan((0.1,), sched, alpha=1.0, T=1.0, dt_over_eps=0.0)
 
 
 def test_asymptotics_zero_perturbation_tracks_equilibrium():
