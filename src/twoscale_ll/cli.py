@@ -10,22 +10,21 @@ import argparse
 import glob
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config
-from .demag import FftDemag, TensorDemag, demag_tensor_estimate, demag_field
+from .demag import FftDemag, TensorDemag, demag_tensor_estimate
 from .dynamics import (
     BlowUpError,
     SolverConfig,
-    equilibrium_residual,
     integrate,
     relax_to_equilibrium,
 )
 from .experiments import (
     AsymptoticsPlan,
     HysteresisPlan,
-    detect_layer_exit,
     run_asymptotics,
     run_hysteresis,
 )
@@ -44,36 +43,36 @@ from .schedule import (
     FixedDirection,
     RotatingDirection,
 )
-from .spectral import commutator_PkF, project_Pk
+from .spectral import project_Pk
 
 
-def _build_grid(cfg: RunConfig) -> Grid3:
-    g = cfg.to_dict()["grid"]
-    return Grid3(g["nx"], g["ny"], g["nz"], g["hx"], g["hy"], g["hz"])
-
-
-def _build_mask(cfg: RunConfig, g: Grid3) -> DomainMask:
+def _ellipsoid(cfg: RunConfig) -> EllipsoidSpec | None:
+    """The configured sample: an ellipsoid, or None for shape = box."""
     d = cfg.to_dict()["domain"]
-    if d["shape"] == "ellipsoid":
-        return DomainMask.ellipsoid(g, EllipsoidSpec(d["a"], d["b"], d["c"]))
-    return DomainMask.full(g)
+    if d["shape"] != "ellipsoid":
+        return None
+    return EllipsoidSpec(d["a"], d["b"], d["c"])
 
 
-def _build_demag(cfg: RunConfig, g: Grid3):
-    d = cfg.to_dict()["domain"]
-    if g.is_macrospin:
-        if d["shape"] == "ellipsoid":
-            res = cfg.get("experiment", "tensor_resolution")
-            D = demag_tensor_estimate(
-                EllipsoidSpec(d["a"], d["b"], d["c"]), res)
-        else:
-            D = np.eye(3) / 3.0  # spherical sample
-        return TensorDemag(D)
-    return FftDemag.for_grid(g)
+def _tensor(cfg: RunConfig) -> np.ndarray:
+    """Depolarization tensor of the sample: exactly I/3 for a box (taken
+    as a sphere), the FFT estimate for an ellipsoid."""
+    ell = _ellipsoid(cfg)
+    if ell is None:
+        return np.eye(3) / 3.0
+    return demag_tensor_estimate(ell,
+                                 cfg.get("experiment", "tensor_resolution"))
 
 
-def _build_schedule(cfg: RunConfig) -> FieldSchedule:
-    f = cfg.to_dict()["field"]
+def _build(cfg: RunConfig):
+    """(grid, mask, demag model, field schedule, solver) of the run."""
+    d = cfg.to_dict()
+    gd, f, s = d["grid"], d["field"], d["solver"]
+    g = Grid3(gd["nx"], gd["ny"], gd["nz"], gd["hx"], gd["hy"], gd["hz"])
+    ell = _ellipsoid(cfg)
+    mask = DomainMask.full(g) if ell is None else DomainMask.ellipsoid(g, ell)
+    demag = TensorDemag(_tensor(cfg)) if g.is_macrospin \
+        else FftDemag.for_grid(g)
     if f["rotate_to"] is not None:
         direction = RotatingDirection(np.asarray(f["direction"]),
                                       np.asarray(f["rotate_to"]), f["omega"])
@@ -84,15 +83,12 @@ def _build_schedule(cfg: RunConfig) -> FieldSchedule:
         envelope = BumpEnvelope(center, f["bump_radius"])
     else:
         envelope = ConstantEnvelope()
-    return FieldSchedule(np.asarray(f["knots"]), direction, envelope)
-
-
-def _build_solver(cfg: RunConfig) -> SolverConfig:
-    s = cfg.to_dict()["solver"]
-    m = cfg.to_dict()["material"]
-    return SolverConfig(epsilon=m["epsilon"], alpha=m["alpha"],
-                        T=s["t_final"], integrator=s["integrator"],
-                        dt=s["dt"], renormalize=s["renormalize"])
+    sched = FieldSchedule(np.asarray(f["knots"]), direction, envelope)
+    solver = SolverConfig(epsilon=d["material"]["epsilon"],
+                          alpha=d["material"]["alpha"], T=s["t_final"],
+                          integrator=s["integrator"], dt=s["dt"],
+                          renormalize=s["renormalize"])
+    return g, mask, demag, sched, solver
 
 
 def _write(path: str, text: str, quiet: bool) -> None:
@@ -104,32 +100,21 @@ def _write(path: str, text: str, quiet: bool) -> None:
 
 
 def cmd_relax(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
-    g = _build_grid(cfg)
-    mask = _build_mask(cfg, g)
-    demag = _build_demag(cfg, g)
-    sched = _build_schedule(cfg)
-    solver = _build_solver(cfg)
-    tol = cfg.get("experiment", "relax_tol")
-    max_t = cfg.get("experiment", "relax_max_t")
+    g, mask, demag, sched, solver = _build(cfg)
     m0 = constant_field(g, sched.direction.at(sched.t_min), mask)
-    m, converged = relax_to_equilibrium(m0, sched.t_min, tol, max_t, solver,
-                                        g, mask, demag, sched)
-    res = equilibrium_residual(sched.t_min, m, g, mask, demag, sched)
-    zero_T = SolverConfig(epsilon=solver.epsilon, alpha=solver.alpha, T=0.0,
-                          integrator=solver.integrator, dt=solver.dt)
-    rec, _ = integrate(m, zero_T, g, mask, demag, sched, t0=sched.t_min)
+    m, converged = relax_to_equilibrium(
+        m0, sched.t_min, cfg.get("experiment", "relax_tol"),
+        cfg.get("experiment", "relax_max_t"), solver, g, mask, demag, sched)
+    rec, _ = integrate(m, replace(solver, T=0.0), g, mask, demag, sched,
+                       t0=sched.t_min)
     _write(os.path.join(out, "relax.csv"), record_to_csv(rec), quiet)
     if not quiet:
-        print(f"converged={converged} residual={res:.3e}")
+        print(f"converged={converged} residual={rec.residual[0]:.3e}")
     return 0
 
 
 def cmd_evolve(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
-    g = _build_grid(cfg)
-    mask = _build_mask(cfg, g)
-    demag = _build_demag(cfg, g)
-    sched = _build_schedule(cfg)
-    solver = _build_solver(cfg)
+    g, mask, demag, sched, solver = _build(cfg)
     m0 = normalize_pointwise(
         constant_field(g, sched.direction.at(sched.t_min), mask), mask)
     rec, _ = integrate(m0, solver, g, mask, demag, sched,
@@ -140,24 +125,23 @@ def cmd_evolve(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
 
 
 def cmd_asymptotics(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
-    g = _build_grid(cfg)
-    mask = _build_mask(cfg, g)
-    demag = _build_demag(cfg, g)
-    sched = _build_schedule(cfg)
+    g, mask, demag, sched, solver = _build(cfg)
     ladder = cfg.get("material", "epsilon_ladder")
     if ladder is None:
         eps = cfg.get("material", "epsilon")
         ladder = tuple(eps * 0.5**i for i in range(4))
     plan = AsymptoticsPlan(
         eps_ladder=tuple(ladder), sched=sched,
-        alpha=cfg.get("material", "alpha"),
-        T=cfg.get("solver", "t_final"),
+        alpha=solver.alpha, T=solver.T,
         perturbation=cfg.get("experiment", "perturbation"),
         threshold_factor=cfg.get("experiment", "threshold_factor"),
         seed=seed,
         integrator="projected-explicit" if g.is_macrospin
-        else cfg.get("solver", "integrator"),
-        analytic_equilibrium=g.is_macrospin,
+        else solver.integrator,
+        # m_eq(t) = u(t) holds only for the sphere tensor I/3
+        analytic_equilibrium=g.is_macrospin and _ellipsoid(cfg) is None,
+        relax_tol=cfg.get("experiment", "relax_tol"),
+        relax_max_T=cfg.get("experiment", "relax_max_t"),
     )
     result = run_asymptotics(plan, g, mask, demag)
     for eps, rec in result["records"].items():
@@ -174,14 +158,11 @@ def cmd_asymptotics(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
 
 
 def cmd_hysteresis(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
-    d = cfg.to_dict()["domain"]
-    if d["shape"] != "ellipsoid":
-        ell = EllipsoidSpec(1.0, 1.0, 1.0)
-    else:
-        ell = EllipsoidSpec(d["a"], d["b"], d["c"])
+    ell = _ellipsoid(cfg)
     solver = cfg.to_dict()["solver"]
     plan = HysteresisPlan(
-        ellipsoid=ell,
+        # a box sample is taken as a sphere, as in _tensor
+        ellipsoid=EllipsoidSpec(1.0, 1.0, 1.0) if ell is None else ell,
         lam_max=cfg.get("experiment", "lam_max"),
         period=cfg.get("experiment", "period"),
         epsilon=cfg.get("material", "epsilon"),
@@ -209,13 +190,7 @@ def cmd_hysteresis(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
 
 def cmd_dissipation_scan(cfg: RunConfig, out: str, seed: int,
                          quiet: bool) -> int:
-    d = cfg.to_dict()["domain"]
-    if d["shape"] == "ellipsoid":
-        D = demag_tensor_estimate(
-            EllipsoidSpec(d["a"], d["b"], d["c"]),
-            cfg.get("experiment", "tensor_resolution"))
-    else:
-        D = np.eye(3) / 3.0
+    D = _tensor(cfg)
     evals, evecs = np.linalg.eigh(D)
     u = evecs[:, 0]
     g = Grid3(1, 1, 1)

@@ -11,6 +11,7 @@ non-positive, symmetric, and L2-bounded by 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.fft
@@ -48,12 +49,20 @@ class FftDemag:
         padded = tuple(max(pad_factor * n, 1) for n in g.shape)
         return FftDemag(g, padded)
 
-    def _frequencies(self):
+    @cached_property
+    def _spectrum(self):
+        """Frequencies (kx, ky, kz) of the padded real transform, and
+        |xi|^2 with the zero mode set to 1 (that mode is mapped to 0);
+        built on first use, then read-only."""
         npx, npy, npz = self.padded_shape
         kx = np.fft.fftfreq(npx, d=self.grid.hx)[:, None, None]
         ky = np.fft.fftfreq(npy, d=self.grid.hy)[None, :, None]
         kz = np.fft.rfftfreq(npz, d=self.grid.hz)[None, None, :]
-        return kx, ky, kz
+        k2 = kx**2 + ky**2 + kz**2
+        k2[0, 0, 0] = 1.0
+        for a in (kx, ky, kz, k2):
+            a.flags.writeable = False
+        return (kx, ky, kz), k2
 
 
 @dataclass(frozen=True)
@@ -77,62 +86,56 @@ class TensorDemag:
 DemagModel = FftDemag | TensorDemag
 
 
-def _multiplier_coeff(model: FftDemag, m: np.ndarray, g: Grid3,
-                      mask: DomainMask) -> np.ndarray:
-    """Spectral coefficient -(xi . m_hat)/|xi|^2 of the padded transform.
+def _fft_field(model: FftDemag, m: np.ndarray, g: Grid3, mask: DomainMask,
+               shape: tuple[int, int, int]) -> np.ndarray:
+    """Demag field of m on the leading shape-sized corner of the padded
+    box; ModeMismatchError unless the model was built for g.
 
     Works one component at a time to keep peak memory low on large grids.
     """
+    _check_field(m, g)
+    if model.grid.shape != g.shape:
+        raise ModeMismatchError("demag model was built for a different grid")
     nx, ny, nz = g.shape
     mm = apply_mask(m, mask)
-    kx, ky, kz = model._frequencies()
+    ks, k2 = model._spectrum
     kdotm = None
     pad = np.zeros(model.padded_shape)
-    for i, k in enumerate((kx, ky, kz)):
+    for i, k in enumerate(ks):
         pad[...] = 0.0
         pad[:nx, :ny, :nz] = mm[..., i]
         fm = scipy.fft.rfftn(pad)
         fm *= k
         kdotm = fm if kdotm is None else kdotm + fm
-    k2 = kx**2 + ky**2 + kz**2
-    k2[0, 0, 0] = 1.0  # zero mode mapped to 0 below
     coeff = kdotm / k2
     coeff *= -1.0
     coeff[0, 0, 0] = 0.0
-    return coeff
+    del mm, pad, fm, kdotm  # free them before the inverse transforms
+    sx, sy, sz = shape
+    h = np.empty(shape + (3,))
+    for i, k in enumerate(ks):
+        hi = scipy.fft.irfftn(coeff * k, s=model.padded_shape)
+        h[..., i] = hi[:sx, :sy, :sz]
+    return h
 
 
 def demag_field(model: DemagModel, m: np.ndarray, g: Grid3,
                 mask: DomainMask) -> np.ndarray:
     """Demagnetizing field of m, restricted to the grid box."""
+    if isinstance(model, FftDemag):
+        return _fft_field(model, m, g, mask, g.shape)
     _check_field(m, g)
-    if isinstance(model, TensorDemag):
-        if not g.is_macrospin:
-            raise ModeMismatchError(
-                "tensor demag model is only valid on single-cell grids")
-        return apply_mask(m @ model.D.T * -1.0, mask)
-
-    if model.grid.shape != g.shape:
-        raise ModeMismatchError("demag model was built for a different grid")
-    nx, ny, nz = g.shape
-    coeff = _multiplier_coeff(model, m, g, mask)
-    h = np.empty(g.shape + (3,))
-    for i, k in enumerate(model._frequencies()):
-        hi = scipy.fft.irfftn(coeff * k, s=model.padded_shape)
-        h[..., i] = hi[:nx, :ny, :nz]
-    return h
+    if not g.is_macrospin:
+        raise ModeMismatchError(
+            "tensor demag model is only valid on single-cell grids")
+    return apply_mask(m @ model.D.T * -1.0, mask)
 
 
 def demag_field_padded(model: FftDemag, m: np.ndarray, g: Grid3,
                        mask: DomainMask) -> np.ndarray:
     """Like demag_field but returning the field on the whole padded box
     (used by the norm-bound diagnostics)."""
-    _check_field(m, g)
-    coeff = _multiplier_coeff(model, m, g, mask)
-    h = np.empty(model.padded_shape + (3,))
-    for i, k in enumerate(model._frequencies()):
-        h[..., i] = scipy.fft.irfftn(coeff * k, s=model.padded_shape)
-    return h
+    return _fft_field(model, m, g, mask, model.padded_shape)
 
 
 def demag_tensor_estimate(e: EllipsoidSpec, resolution: int,

@@ -214,51 +214,43 @@ def integrate(m0: np.ndarray, cfg: SolverConfig, g: Grid3, mask: DomainMask,
 
     The step dt must divide T (relative tolerance 1e-9), so the run ends
     at t0 + T; otherwise ValueError. reference(t), when given, supplies the
-    field against which the H2 distance column is measured. On blow-up the
-    partial record is attached to the raised BlowUpError.
+    field against which the H2 distance column is measured. On a blow-up,
+    in a step or in reference(t), the rows sampled so far are attached to
+    the raised BlowUpError.
     """
     from .grid import inner_products
 
+    if sample_every < 1:
+        raise ValueError("sample_every must be >= 1")
     dt = resolve_dt(cfg, g) if cfg.T > 0 else 1.0
     n_steps = _n_steps(cfg.T, dt)
-
-    cols: dict[str, list] = {k: [] for k in
-                             ("times", "lam", "mean", "energy", "residual",
-                              "dist_h2")}
+    rows: list[tuple] = []
 
     def sample(t, m):
-        cols["times"].append(t)
-        cols["lam"].append(sched.amplitude(t))
-        cols["mean"].append(mean_magnetization(m, mask))
-        cols["energy"].append(energy(t, m, cfg, g, mask, demag, sched))
-        cols["residual"].append(equilibrium_residual(t, m, g, mask, demag, sched))
+        row = (t, sched.amplitude(t), mean_magnetization(m, mask),
+               energy(t, m, cfg, g, mask, demag, sched),
+               equilibrium_residual(t, m, g, mask, demag, sched))
         if reference is None:
-            cols["dist_h2"].append(np.nan)
+            dist = np.nan
         else:
             d = m - reference(t)
-            cols["dist_h2"].append(
-                np.sqrt(inner_products(d, d, g, mask)["h2"]))
+            dist = np.sqrt(inner_products(d, d, g, mask)["h2"])
+        rows.append(row + (dist,))  # whole rows only, even if reference fails
 
     def build():
-        return RunRecord(
-            times=np.asarray(cols["times"]),
-            lam=np.asarray(cols["lam"]),
-            mean=np.asarray(cols["mean"]).reshape(-1, 3),
-            energy=np.asarray(cols["energy"]),
-            residual=np.asarray(cols["residual"]),
-            dist_h2=np.asarray(cols["dist_h2"]),
-        )
+        times, lam, mean, en, res, dist = \
+            [np.asarray(c) for c in zip(*rows)] if rows else [np.empty(0)] * 6
+        return RunRecord(times, lam, mean.reshape(-1, 3), en, res, dist)
 
     m = m0
-    sample(t0, m)
-    for i in range(n_steps):
-        t = t0 + i * dt
-        try:
-            m = step(t, m, dt, cfg, g, mask, demag, sched)
-        except BlowUpError as err:
-            raise BlowUpError(err.time, build()) from None
-        if (i + 1) % sample_every == 0 or i + 1 == n_steps:
-            sample(t0 + (i + 1) * dt, m)
+    try:
+        sample(t0, m)
+        for i in range(n_steps):
+            m = step(t0 + i * dt, m, dt, cfg, g, mask, demag, sched)
+            if (i + 1) % sample_every == 0 or i + 1 == n_steps:
+                sample(t0 + (i + 1) * dt, m)
+    except BlowUpError as err:
+        raise BlowUpError(err.time, build()) from None
     return build(), m
 
 

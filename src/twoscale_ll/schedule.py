@@ -72,6 +72,10 @@ class BumpEnvelope:
     center: tuple[float, float, float]
     radius: float
 
+    def __post_init__(self):
+        if self.radius <= 0:
+            raise ValueError("bump radius must be > 0")
+
     def values(self, g: Grid3) -> np.ndarray:
         x, y, z = g.cell_centers()
         r2 = ((x - self.center[0]) ** 2 + (y - self.center[1]) ** 2

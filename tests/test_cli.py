@@ -187,3 +187,81 @@ def test_blow_up_exit_two(tmp_path, capsys, monkeypatch):
                    "--quiet"])
     assert rc == 2
     assert "blow-up" in capsys.readouterr().err
+
+
+def _summary(tmp_path):
+    lines = (tmp_path / "asymptotics_summary.csv").read_text().splitlines()
+    names = lines[0].split(",")
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    return {name: np.array(col) for name, col in zip(names, zip(*rows))}
+
+
+def test_asymptotics_box_macrospin_writes_ladder(tmp_path):
+    # default ladder: epsilon halved three times, analytic reference u(t)
+    cfg = _write_cfg(tmp_path, MACROSPIN_CFG)
+    rc = cli.main(["asymptotics", "--config", cfg, "--out", str(tmp_path),
+                   "--quiet"])
+    assert rc == 0
+    for eps in ("0.1", "0.05", "0.025", "0.0125"):
+        lines = (tmp_path / f"asymptotics_eps_{eps}.csv").read_text()
+        assert lines.splitlines()[0] == CSV_HEADER
+    s = _summary(tmp_path)
+    assert np.allclose(s["eps"], [0.1, 0.05, 0.025, 0.0125])
+    assert np.all(np.diff(s["sup_dist_after_tau"]) < 0)
+
+
+def test_asymptotics_one_cell_ellipsoid_relaxes_reference(tmp_path):
+    # u(t) is not the equilibrium of a prolate sample, so the tracker must
+    # relax; measured against u(t) the distance would not fall with eps
+    cfg = _write_cfg(tmp_path, MACROSPIN_CFG.replace(
+        "direction = 0, 0, 1", "direction = 1, 0, 1") + """
+[domain]
+shape = ellipsoid
+a = 3.0
+b = 1.0
+c = 1.0
+
+[experiment]
+tensor_resolution = 16
+""")
+    rc = cli.main(["asymptotics", "--config", cfg, "--out", str(tmp_path),
+                   "--quiet"])
+    assert rc == 0
+    sup_d = _summary(tmp_path)["sup_dist_after_tau"]
+    assert np.all(np.diff(sup_d) < 0)
+    assert sup_d[-1] < 1e-8
+
+
+def test_asymptotics_reads_relax_keys(tmp_path, monkeypatch):
+    plans = []
+
+    def capture(plan, g, mask, demag):
+        plans.append(plan)
+        return {"records": {}, "summary": []}
+    monkeypatch.setattr(cli, "run_asymptotics", capture)
+    cfg = _write_cfg(tmp_path, MACROSPIN_CFG
+                     + "\n[experiment]\nrelax_tol = 1e-6\nrelax_max_t = 7.0\n")
+    rc = cli.main(["asymptotics", "--config", cfg, "--out", str(tmp_path),
+                   "--quiet"])
+    assert rc == 0
+    assert plans[0].relax_tol == 1e-6
+    assert plans[0].relax_max_T == 7.0
+
+
+def test_evolve_rejects_sample_every_zero(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, MACROSPIN_CFG.replace("sample_every = 10",
+                                                     "sample_every = 0"))
+    rc = cli.main(["evolve", "--config", cfg, "--out", str(tmp_path),
+                   "--quiet"])
+    assert rc == 1
+    assert "sample_every must be >= 1" in capsys.readouterr().err
+
+
+def test_evolve_rejects_negative_bump_radius(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, MACROSPIN_CFG.replace(
+        "direction = 0, 0, 1",
+        "direction = 0, 0, 1\nenvelope = bump\nbump_radius = -0.5"))
+    rc = cli.main(["evolve", "--config", cfg, "--out", str(tmp_path),
+                   "--quiet"])
+    assert rc == 1
+    assert "bump radius must be > 0" in capsys.readouterr().err

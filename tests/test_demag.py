@@ -64,6 +64,13 @@ def test_fft_grid_mismatch():
     m = constant_field(g2, (0.0, 0.0, 1.0), mask2)
     with pytest.raises(ModeMismatchError):
         demag_field(model, m, g2, mask2)
+    # a 16^3 field fits inside the 16^3 padded box of the 8^3 model, so
+    # only the grid check stops a silently wrong padded field
+    g3 = Grid3(16, 16, 16, 0.1, 0.1, 0.1)
+    mask3 = DomainMask.full(g3)
+    with pytest.raises(ModeMismatchError):
+        demag_field_padded(model, constant_field(g3, (0.0, 0.0, 1.0), mask3),
+                           g3, mask3)
 
 
 def test_operator_symmetric_nonpositive_contractive():

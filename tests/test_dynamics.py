@@ -198,6 +198,28 @@ def test_blow_up_raises_with_partial_record(macrospin, sphere_tensor):
     assert len(exc.value.record.times) >= 1
 
 
+def test_blow_up_in_reference_keeps_partial_record(macrospin, sphere_tensor,
+                                                  static_field):
+    g, mask = macrospin
+    m0 = up_field(g, mask)
+    cfg = SolverConfig(epsilon=0.1, alpha=1.0, T=0.1, dt=1e-2,
+                       integrator="projected-explicit")
+    calls = []
+
+    def reference(t):
+        calls.append(t)
+        if len(calls) == 3:
+            raise BlowUpError(t)
+        return m0
+    with pytest.raises(BlowUpError) as exc:
+        integrate(m0, cfg, g, mask, sphere_tensor, static_field,
+                  reference=reference)
+    rec = exc.value.record
+    assert rec is not None
+    assert np.allclose(rec.times, [0.0, 0.01])
+    assert rec.mean.shape == (2, 3)
+
+
 def test_integrate_sampling_and_columns(macrospin, sphere_tensor,
                                         static_field):
     g, mask = macrospin
