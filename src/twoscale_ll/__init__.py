@@ -13,6 +13,7 @@ from .demag import (
     TensorDemag,
     demag_field,
     demag_tensor_estimate,
+    depolarization_tensor,
 )
 from .dynamics import (
     BlowUpError,

@@ -15,7 +15,12 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config
-from .demag import FftDemag, TensorDemag, demag_tensor_estimate
+from .demag import (
+    FftDemag,
+    TensorDemag,
+    demag_tensor_estimate,
+    depolarization_tensor,
+)
 from .dynamics import (
     BlowUpError,
     SolverConfig,
@@ -46,6 +51,9 @@ from .schedule import (
 from .spectral import project_Pk
 
 
+_UNIT_SPHERE = EllipsoidSpec(1.0, 1.0, 1.0)
+
+
 def _ellipsoid(cfg: RunConfig) -> EllipsoidSpec | None:
     """The configured sample: an ellipsoid, or None for shape = box."""
     d = cfg.to_dict()["domain"]
@@ -55,12 +63,9 @@ def _ellipsoid(cfg: RunConfig) -> EllipsoidSpec | None:
 
 
 def _tensor(cfg: RunConfig) -> np.ndarray:
-    """Depolarization tensor of the sample: exactly I/3 for a box (taken
-    as a sphere), the FFT estimate for an ellipsoid."""
-    ell = _ellipsoid(cfg)
-    if ell is None:
-        return np.eye(3) / 3.0
-    return demag_tensor_estimate(ell,
+    """Depolarization tensor of the sample (a box taken as the unit
+    sphere), by the library's one tensor rule."""
+    return depolarization_tensor(_ellipsoid(cfg) or _UNIT_SPHERE,
                                  cfg.get("experiment", "tensor_resolution"))
 
 
@@ -86,8 +91,7 @@ def _build(cfg: RunConfig):
     sched = FieldSchedule(np.asarray(f["knots"]), direction, envelope)
     solver = SolverConfig(epsilon=d["material"]["epsilon"],
                           alpha=d["material"]["alpha"], T=s["t_final"],
-                          integrator=s["integrator"], dt=s["dt"],
-                          renormalize=s["renormalize"])
+                          integrator=s["integrator"], dt=s["dt"])
     return g, mask, demag, sched, solver
 
 
@@ -158,11 +162,9 @@ def cmd_asymptotics(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
 
 
 def cmd_hysteresis(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
-    ell = _ellipsoid(cfg)
     solver = cfg.to_dict()["solver"]
     plan = HysteresisPlan(
-        # a box sample is taken as a sphere, as in _tensor
-        ellipsoid=EllipsoidSpec(1.0, 1.0, 1.0) if ell is None else ell,
+        ellipsoid=_ellipsoid(cfg) or _UNIT_SPHERE,  # as in _tensor
         lam_max=cfg.get("experiment", "lam_max"),
         period=cfg.get("experiment", "period"),
         epsilon=cfg.get("material", "epsilon"),
@@ -214,9 +216,8 @@ def cmd_dissipation_scan(cfg: RunConfig, out: str, seed: int,
 
 def cmd_demag_selftest(cfg: RunConfig, out: str, seed: int,
                        quiet: bool) -> int:
-    res = cfg.get("experiment", "resolution")
-    sphere = EllipsoidSpec(1.0, 1.0, 1.0)
-    D = demag_tensor_estimate(sphere, res)
+    res = cfg.get("experiment", "tensor_resolution")
+    D = demag_tensor_estimate(_UNIT_SPHERE, res)
     trace = float(np.trace(D))
     diag_err = float(np.max(np.abs(np.diag(D) - 1.0 / 3.0)))
     off = float(np.max(np.abs(D - np.diag(np.diag(D)))))

@@ -18,15 +18,6 @@ class ConfigError(ValueError):
         self.errors = errors
 
 
-def _parse_bool(s: str) -> bool:
-    v = s.strip().lower()
-    if v in ("true", "yes", "1", "on"):
-        return True
-    if v in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
 def _parse_floats(s: str) -> tuple[float, ...]:
     return tuple(float(p) for p in s.split(",") if p.strip())
 
@@ -56,7 +47,6 @@ _PARSERS = {
     "int": int,
     "float": float,
     "str": str,
-    "bool": _parse_bool,
     "floats": _parse_floats,
     "vec3": _parse_vec3,
     "knots": _parse_knots,
@@ -91,7 +81,6 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "dt": ("float", None),
         "t_final": ("float", 1.0),
         "sample_every": ("int", 1),
-        "renormalize": ("bool", True),
     },
     "experiment": {
         "threshold_factor": ("float", 2.0),
@@ -106,7 +95,6 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "warmup_periods": ("int", 1),
         "relax_tol": ("float", 1e-8),
         "relax_max_t": ("float", 50.0),
-        "resolution": ("int", 32),
     },
 }
 
@@ -218,8 +206,6 @@ def _serialize_value(tname: str, value) -> str:
                          for t, x in value)
     if tname in ("floats", "vec3"):
         return ", ".join(repr(float(x)) for x in value)
-    if tname == "bool":
-        return "true" if value else "false"
     if tname == "float":
         return repr(float(value))
     return str(value)

@@ -138,15 +138,14 @@ def demag_field_padded(model: FftDemag, m: np.ndarray, g: Grid3,
     return _fft_field(model, m, g, mask, model.padded_shape)
 
 
-def demag_tensor_estimate(e: EllipsoidSpec, resolution: int,
-                          pad_factor: int = 4) -> np.ndarray:
+def demag_tensor_estimate(e: EllipsoidSpec, resolution: int) -> np.ndarray:
     """Depolarization tensor of an ellipsoid, estimated with the FFT operator.
 
     Builds a resolution^3 staircase mask of the ellipsoid, applies the demag
     operator to each constant unit field e_i, and volume-averages -h_d over
     the body. Converges toward the exact tensor (trace 1) under refinement.
 
-    pad_factor defaults to 4 here (above the operator's 2x minimum): the
+    The padding factor is 4 here (above the operator's 2x minimum): the
     wrap-around bias scales with the body's volume fraction of the padded
     box, and the tight bounding box would otherwise dominate the estimate.
     """
@@ -155,7 +154,7 @@ def demag_tensor_estimate(e: EllipsoidSpec, resolution: int,
     n = resolution
     g = Grid3(n, n, n, 2 * e.a / n, 2 * e.b / n, 2 * e.c / n)
     mask = DomainMask.ellipsoid(g, e)
-    model = FftDemag.for_grid(g, pad_factor)
+    model = FftDemag.for_grid(g, 4)
     D = np.zeros((3, 3))
     for i in range(3):
         ei = np.zeros(3)
@@ -165,3 +164,11 @@ def demag_tensor_estimate(e: EllipsoidSpec, resolution: int,
             D[j, i] = -float(np.mean(h[..., j][mask.inside]))
     # symmetrize away roundoff
     return 0.5 * (D + D.T)
+
+
+def depolarization_tensor(e: EllipsoidSpec, resolution: int) -> np.ndarray:
+    """Depolarization tensor of an ellipsoid: exactly I/3 for a sphere
+    (a == c), else demag_tensor_estimate at the given resolution."""
+    if e.a == e.c:
+        return np.eye(3) / 3.0
+    return demag_tensor_estimate(e, resolution)

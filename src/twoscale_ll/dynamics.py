@@ -47,7 +47,6 @@ class SolverConfig:
     T: float
     integrator: str = "semi-implicit-spectral"  # or "projected-explicit"
     dt: float | None = None
-    renormalize: bool = True
 
     def __post_init__(self):
         if self.epsilon <= 0 or self.alpha <= 0 or self.T < 0:
@@ -175,9 +174,7 @@ def step(t: float, m: np.ndarray, dt: float, cfg: SolverConfig, g: Grid3,
         out = _cosine_solve(rhs, cfg.epsilon / dt, cfg.alpha, g, mask)
     if not np.all(np.isfinite(out)):
         raise BlowUpError(t + dt)
-    if cfg.renormalize:
-        out = normalize_pointwise(out, mask)
-    return out
+    return normalize_pointwise(out, mask)
 
 
 def energy(t: float, m: np.ndarray, cfg: SolverConfig, g: Grid3,
@@ -263,17 +260,19 @@ def relax_to_equilibrium(m0: np.ndarray, t_frozen: float, tol: float,
     ||m ^ h_T||_L2 drops below tol.
 
     Equilibria solve m ^ h_T = 0, which does not involve the precession
-    term, so the flow is dm/dtau = -alpha m ^ (m ^ h_T). A step of size
-    tau is, for semi-implicit-spectral (exchange implicit),
-        (1/tau - alpha Lap) m+ = m/tau + alpha (|grad m|^2 m
-                                                - m ^ (m ^ (h_d + h_ext))),
-    and for projected-explicit m+ = m - tau alpha m ^ (m ^ h_T); both are
-    renormalized. The first step is the configured dt (resolve_dt at
-    eps = 1), which is also the floor of the Barzilai-Borwein (BB2) steps
-    tau = (s.y) / (alpha y.y) that follow, with s the change of m and y
-    the change of m ^ (m ^ h_T). BB2 steps may raise the residual for a
-    while by design; a rise after a step at the floor means the floor is
-    too large, so the floor is halved. At most ceil(max_T / dt) steps.
+    term, so the flow is dm/dtau = -alpha g with g = m ^ (m ^ h_T). A step
+    of size tau is one damped step, then renormalized:
+        projected-explicit      m+ = m - tau alpha g,
+        semi-implicit-spectral  m+ = m - (1/tau - alpha Lap)^-1 (alpha g),
+    the latter preconditioned by the cosine solve. On unit fields it is the
+    exchange-implicit step (1/tau - alpha Lap) m+ = m/tau - alpha (Lap m + g),
+    where -alpha (Lap m + g) is the damping part of F. The first step is
+    the configured dt (resolve_dt at eps = 1), which is also the floor of
+    the Barzilai-Borwein (BB2) steps tau = (s.y) / (alpha y.y) that follow,
+    with s the change of m and y the change of g. BB2 steps may raise the
+    residual for a while by design; a rise after a step at the floor means
+    the floor is too large, so the floor is halved. At most
+    ceil(max_T / dt) steps.
 
     Returns (final field, whether the tolerance was met).
     """
@@ -286,9 +285,9 @@ def relax_to_equilibrium(m0: np.ndarray, t_frozen: float, tol: float,
     prev = None  # (m, m ^ (m ^ h_T), residual) before the last step
     for i in range(n_steps + 1):
         # the same sums as total_field, so res is equilibrium_residual
-        h_de = demag_field(demag, m, g, mask) + h_ext
-        lap = laplacian_neumann(m, g, mask)
-        mxh = cross3(m, apply_mask(h_de + lap, mask))
+        h = demag_field(demag, m, g, mask) + h_ext \
+            + laplacian_neumann(m, g, mask)
+        mxh = cross3(m, apply_mask(h, mask))
         res = norm_l2(mxh, g, mask)
         if res < tol:
             return m, True
@@ -307,10 +306,7 @@ def relax_to_equilibrium(m0: np.ndarray, t_frozen: float, tol: float,
         if cfg.integrator == "projected-explicit":
             out = m - (tau * alpha) * grad
         else:
-            gsq = -dot3(m, lap)  # |grad m|^2 on unit fields
-            rhs = m / tau + alpha * (gsq[..., None] * m
-                                     - cross3(m, cross3(m, h_de)))
-            out = _cosine_solve(rhs, 1.0 / tau, alpha, g, mask)
+            out = m - _cosine_solve(alpha * grad, 1.0 / tau, alpha, g, mask)
         if not np.all(np.isfinite(out)):
             raise BlowUpError(t_frozen)
         m = normalize_pointwise(out, mask)

@@ -4,12 +4,12 @@ of time-scale ratios, and macrospin hysteresis loops."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
 
-from .demag import DemagModel, demag_tensor_estimate
+from .demag import DemagModel, TensorDemag, depolarization_tensor
 from .dynamics import (
     RunRecord,
     SolverConfig,
@@ -36,7 +36,7 @@ class AsymptoticsPlan:
     seed: int = 0
     dt_over_eps: float = 0.02       # dt = dt_over_eps * eps
     integrator: str = "projected-explicit"
-    analytic_equilibrium: bool = True  # m_eq(t) = u(t) on a spherical sample
+    analytic_equilibrium: bool = True  # m_eq(t) = u(t); one cell, D = d I
     relax_tol: float = 1e-9
     relax_max_T: float = 50.0
     relax_dt: float = 0.05          # first step and step floor of the
@@ -80,10 +80,9 @@ def detect_layer_exit(times: np.ndarray, d: np.ndarray,
 
 
 def _equilibrium_tracker(plan: AsymptoticsPlan, g: Grid3, mask: DomainMask,
-                         demag: DemagModel, cfg: SolverConfig,
-                         m_warm: np.ndarray | None = None):
-    """Callable t -> m_eq(t): analytic u(t) on a spherical sample, or a
-    warm-started frozen-time relaxation solve otherwise.
+                         solve, m_eq0: np.ndarray):
+    """Callable t -> m_eq(t): analytic u(t) on a spherical sample, or
+    solve(t, guess) warm-started from the previous solution (m_eq0 first).
 
     Also returns the list the callable appends each solve's converged flag
     to (it stays empty in analytic mode).
@@ -94,19 +93,12 @@ def _equilibrium_tracker(plan: AsymptoticsPlan, g: Grid3, mask: DomainMask,
             return constant_field(g, plan.sched.direction.at(t), mask)
         return ref, converged
 
-    state = {"m": m_warm}
-    relax_cfg = replace(cfg, dt=plan.relax_dt)
+    state = {"m": m_eq0}
 
     def ref(t: float) -> np.ndarray:
-        guess = state["m"]
-        if guess is None:
-            guess = constant_field(g, plan.sched.direction.at(t), mask)
-        m_eq, ok = relax_to_equilibrium(
-            guess, t, plan.relax_tol, plan.relax_max_T, relax_cfg, g, mask,
-            demag, plan.sched)
+        state["m"], ok = solve(t, state["m"])
         converged.append(ok)
-        state["m"] = m_eq
-        return m_eq
+        return state["m"]
 
     return ref, converged
 
@@ -120,15 +112,27 @@ def run_asymptotics(plan: AsymptoticsPlan, g: Grid3, mask: DomainMask,
     Summary rows hold (eps, tau, tau/(eps ln(1/eps)), sup_{[tau,T]} d),
     whether the initial relaxation converged, and whether every reference
     solve for that eps converged (always true in analytic mode).
+
+    The analytic reference u(t) is an equilibrium only on one cell with
+    an isotropic tensor demag; any other sample raises ValueError unless
+    plan.analytic_equilibrium is False.
     """
+    if plan.analytic_equilibrium and not (
+            g.is_macrospin and isinstance(demag, TensorDemag)
+            and np.array_equal(demag.D, demag.D[0][0] * np.eye(3))):
+        raise ValueError("analytic_equilibrium needs one cell with an "
+                         "isotropic tensor demag; set it to False")
     t0 = plan.sched.t_min
-    base_cfg = SolverConfig(epsilon=1.0, alpha=plan.alpha, T=plan.T,
-                            integrator=plan.integrator,
-                            dt=plan.relax_dt)
-    m_eq0, converged = relax_to_equilibrium(
-        constant_field(g, plan.sched.direction.at(t0), mask), t0,
-        plan.relax_tol, plan.relax_max_T, base_cfg, g, mask, demag,
-        plan.sched)
+    relax_cfg = SolverConfig(epsilon=1.0, alpha=plan.alpha, T=plan.T,
+                             integrator=plan.integrator, dt=plan.relax_dt)
+
+    def solve(t: float, guess: np.ndarray) -> tuple[np.ndarray, bool]:
+        return relax_to_equilibrium(guess, t, plan.relax_tol,
+                                    plan.relax_max_T, relax_cfg, g, mask,
+                                    demag, plan.sched)
+
+    m_eq0, converged = solve(
+        t0, constant_field(g, plan.sched.direction.at(t0), mask))
     delta0 = sample_admissible_perturbation(
         m_eq0, plan.perturbation, plan.seed, g, mask)
     m0 = m_eq0 + delta0
@@ -140,8 +144,7 @@ def run_asymptotics(plan: AsymptoticsPlan, g: Grid3, mask: DomainMask,
         sample_every = max(1, n_steps // plan.samples_per_run)
         cfg = SolverConfig(epsilon=eps, alpha=plan.alpha, T=plan.T,
                            integrator=plan.integrator, dt=dt)
-        ref, ref_converged = _equilibrium_tracker(plan, g, mask, demag, cfg,
-                                                  m_warm=m_eq0)
+        ref, ref_converged = _equilibrium_tracker(plan, g, mask, solve, m_eq0)
         rec, _ = integrate(m0, cfg, g, mask, demag, plan.sched,
                            sample_every=sample_every, t0=t0, reference=ref)
         records[eps] = rec
@@ -178,7 +181,6 @@ class HysteresisPlan:
     alpha: float = 1.0
     dt: float = 0.05                # sampling interval of the recorded loop
     field_tilt: float = 3e-4        # radians off the easy axis
-    transverse_bias: float = 1e-6   # constant field along the third axis
     tensor_resolution: int = 32
     n_warmup_periods: int = 1
 
@@ -207,7 +209,7 @@ def run_hysteresis(plan: HysteresisPlan) -> dict:
     branches and refine automatically through the fast switching events,
     which a fixed step of order eps could not afford over a slow sweep.
     """
-    D = demag_tensor_estimate(plan.ellipsoid, plan.tensor_resolution)
+    D = depolarization_tensor(plan.ellipsoid, plan.tensor_resolution)
     evals, evecs = np.linalg.eigh(D)
     u = evecs[:, 0]                # easy axis: smallest depolarization
     d_axis = float(evals[0])
@@ -226,7 +228,7 @@ def run_hysteresis(plan: HysteresisPlan) -> dict:
     # A tiny constant transverse field keeps the anti-aligned state from
     # being an exact (deterministically pinned) equilibrium; for degenerate
     # samples (sphere) this is the only symmetry breaking available.
-    h_bias = plan.transverse_bias * evecs[:, 2]
+    h_bias = 1e-6 * evecs[:, 2]
 
     def rhs(t: float, m: np.ndarray) -> np.ndarray:
         h = -(D @ m) + np.interp(t, knots_t, knots_v) * u_field + h_bias

@@ -8,7 +8,7 @@ cell centers. Values on cells outside the domain mask are kept at zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -112,17 +112,13 @@ class DomainMask:
         return DomainMask(np.ones(g.shape, dtype=bool), g.cell_volume)
 
     @staticmethod
-    def ellipsoid(g: Grid3, e: EllipsoidSpec,
-                  center: tuple[float, float, float] | None = None) -> "DomainMask":
-        """Staircase mask of an axis-aligned ellipsoid embedded in the box."""
+    def ellipsoid(g: Grid3, e: EllipsoidSpec) -> "DomainMask":
+        """Staircase mask of an axis-aligned ellipsoid centered in the box."""
         x, y, z = g.cell_centers()
-        if center is None:
-            ox, oy, oz = g.origin
-            center = (ox + g.nx * g.hx / 2,
-                      oy + g.ny * g.hy / 2,
-                      oz + g.nz * g.hz / 2)
-        r2 = ((x - center[0]) / e.a) ** 2 + ((y - center[1]) / e.b) ** 2 \
-            + ((z - center[2]) / e.c) ** 2
+        cx, cy, cz = (o + n * h / 2
+                      for o, n, h in zip(g.origin, g.shape, g.spacings))
+        r2 = ((x - cx) / e.a) ** 2 + ((y - cy) / e.b) ** 2 \
+            + ((z - cz) / e.c) ** 2
         return DomainMask(r2 <= 1.0, g.cell_volume)
 
 

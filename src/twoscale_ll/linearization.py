@@ -135,22 +135,19 @@ def h2_quadratic_form(t: float, m_eq: np.ndarray, delta: np.ndarray,
     return inner_products(Ld, delta, g, mask)["h2"]
 
 
-def _smooth_random_field(g: Grid3, mask: DomainMask, rng: np.random.Generator,
-                         max_mode: int = 3) -> np.ndarray:
-    """Random field built from the lowest Neumann cosine modes of the box
-    (discretely Neumann-compatible by construction)."""
+def _smooth_random_field(g: Grid3, mask: DomainMask,
+                         rng: np.random.Generator) -> np.ndarray:
+    """Random field built from the lowest three Neumann cosine modes per
+    axis of the box (discretely Neumann-compatible by construction)."""
     coeffs = np.zeros(g.shape + (3,))
-    kx = min(max_mode, g.nx)
-    ky = min(max_mode, g.ny)
-    kz = min(max_mode, g.nz)
+    kx, ky, kz = (min(3, n) for n in g.shape)
     coeffs[:kx, :ky, :kz, :] = rng.standard_normal((kx, ky, kz, 3))
     tau = scipy.fft.idctn(coeffs, type=2, norm="ortho", axes=(0, 1, 2))
     return apply_mask(tau, mask)
 
 
 def sample_admissible_perturbation(m_eq: np.ndarray, s: float, seed: int,
-                                   g: Grid3, mask: DomainMask,
-                                   max_mode: int = 3) -> np.ndarray:
+                                   g: Grid3, mask: DomainMask) -> np.ndarray:
     """Random admissible perturbation: delta = normalize(m_eq + s*tau) - m_eq
     with tau a smooth random tangent field. Guarantees |m_eq + delta| = 1
     exactly and the sphere constraint |delta|^2 = -2 m_eq . delta + O(s^3)
@@ -158,7 +155,7 @@ def sample_admissible_perturbation(m_eq: np.ndarray, s: float, seed: int,
     if not 0 < s < 1:
         raise ValueError("perturbation size s must be in (0, 1)")
     rng = np.random.default_rng(seed)
-    tau = _smooth_random_field(g, mask, rng, max_mode)
+    tau = _smooth_random_field(g, mask, rng)
     tau = tau - dot3(tau, m_eq)[..., None] * m_eq
     # normalize the typical tangent magnitude so s sets the actual scale
     w = mask.inside

@@ -111,9 +111,8 @@ class FieldSchedule:
         object.__setattr__(self, "knots", knots)
 
     @staticmethod
-    def constant(lam: float, u, t_max: float = np.inf) -> "FieldSchedule":
-        end = t_max if np.isfinite(t_max) else 1e30
-        return FieldSchedule(np.array([[0.0, lam], [end, lam]]),
+    def constant(lam: float, u) -> "FieldSchedule":
+        return FieldSchedule(np.array([[0.0, lam], [1e30, lam]]),
                              FixedDirection(np.asarray(u, dtype=float)))
 
     @property

@@ -33,12 +33,20 @@ def _write_cfg(tmp_path, text):
 
 
 def test_demag_selftest_exit_zero(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, "[experiment]\nresolution = 24\n")
+    cfg = _write_cfg(tmp_path, "[experiment]\ntensor_resolution = 24\n")
     rc = cli.main(["demag-selftest", "--config", cfg,
                    "--out", str(tmp_path)])
     assert rc == 0
     assert os.path.exists(tmp_path / "demag_selftest.csv")
     assert "ok" in capsys.readouterr().out
+
+
+def test_renormalize_key_rejected(tmp_path, capsys):
+    # steps always renormalize; the old opt-out key is unknown
+    cfg = _write_cfg(tmp_path, "[solver]\nrenormalize = false\n")
+    rc = cli.main(["evolve", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    assert "unknown key solver.renormalize" in capsys.readouterr().err
 
 
 def test_spectral_selftest_exit_zero(tmp_path):

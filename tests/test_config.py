@@ -55,7 +55,6 @@ def test_parse_good_config():
     assert cfg.get("solver", "integrator") == "projected-explicit"
     # unset sections take schema defaults
     assert cfg.get("experiment", "period") == 20.0
-    assert cfg.get("solver", "renormalize") is True
     assert cfg.get("solver", "dt") is None
 
 

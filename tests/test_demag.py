@@ -10,6 +10,7 @@ from twoscale_ll.demag import (
     demag_field,
     demag_field_padded,
     demag_tensor_estimate,
+    depolarization_tensor,
 )
 from twoscale_ll.grid import (
     DomainMask,
@@ -135,6 +136,16 @@ def test_tensor_estimate_prolate_ordering():
     e = np.sqrt(1.0 - (1.0 / 3.0) ** 2)
     Na = (1.0 - e**2) / e**3 * (np.arctanh(e) - e)
     assert d[0] == pytest.approx(Na, rel=0.08)
+
+
+def test_depolarization_tensor_rule():
+    # exact I/3 for any sphere; the FFT estimate for anything else
+    for r in (1.0, 2.5):
+        D = depolarization_tensor(EllipsoidSpec(r, r, r), 16)
+        assert np.array_equal(D, np.eye(3) / 3.0)
+    prolate = EllipsoidSpec(3.0, 1.0, 1.0)
+    assert np.array_equal(depolarization_tensor(prolate, 16),
+                          demag_tensor_estimate(prolate, 16))
 
 
 def test_tensor_estimate_resolution_floor():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from twoscale_ll.demag import FftDemag, TensorDemag, demag_field
 from twoscale_ll.dynamics import (
@@ -27,7 +28,9 @@ from twoscale_ll.grid import (
     cross3,
     dot3,
     laplacian_neumann,
+    neumann_eigenvalues,
     norm_l2,
+    normalize_pointwise,
 )
 from twoscale_ll.linearization import sample_admissible_perturbation
 from twoscale_ll.schedule import FieldSchedule, RotatingDirection, eval_h_ext
@@ -187,10 +190,11 @@ def test_energy_decay_identity_first_order(box12, demag12, static_field):
 def test_blow_up_raises_with_partial_record(macrospin, sphere_tensor):
     g, mask = macrospin
     sched = FieldSchedule.constant(50.0, (0.0, 0.0, 1.0))
-    # without renormalization the quadratic m x (m x h) term overflows
+    # far from unit length, the quadratic m x (m x h) term overflows in the
+    # first step, before the step renormalizes
     m0 = constant_field(g, (1e200, 0.0, 0.0), mask)
     cfg = SolverConfig(epsilon=1e-6, alpha=1.0, T=1.0, dt=0.1,
-                       integrator="projected-explicit", renormalize=False)
+                       integrator="projected-explicit")
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError) as exc:
             integrate(m0, cfg, g, mask, sphere_tensor, sched)
@@ -312,6 +316,34 @@ def test_relax_to_equilibrium_damping_flow_on_box(static_field):
                                             mask, demag, static_field)
     assert converged
     assert np.max(np.abs(m_eq - m_ref)) < 1e-5
+
+
+def test_relax_to_equilibrium_one_step_is_the_semi_implicit_step(
+        static_field):
+    # tol = 0 and max_T = dt take exactly one damped step. On unit fields it
+    # equals the semi-implicit step with the damping half of F as its
+    # right-hand side, solved in the cosine basis:
+    # (1/tau - alpha Lap) m+ = m/tau + alpha (|grad m|^2 m
+    #                                         - m ^ (m ^ (h_d + h_ext)))
+    g, mask, demag = _box8()
+    m0 = random_unit_field(g, mask, 4)
+    h_de = demag_field(demag, m0, g, mask) \
+        + eval_h_ext(static_field, 0.0, g, mask)
+    gsq = -dot3(m0, laplacian_neumann(m0, g, mask))
+    for alpha, dt in ((1.0, 0.05), (0.3, 0.2)):
+        cfg = SolverConfig(epsilon=0.1, alpha=alpha, T=1.0, dt=dt,
+                           integrator="semi-implicit-spectral")
+        m1, converged = relax_to_equilibrium(m0, 0.0, 0.0, dt, cfg, g, mask,
+                                             demag, static_field)
+        assert not converged
+        rhs = m0 / dt + alpha * (gsq[..., None] * m0
+                                 - cross3(m0, cross3(m0, h_de)))
+        denom = 1.0 / dt + alpha * neumann_eigenvalues(g)
+        fr = scipy.fft.dctn(rhs, type=2, norm="ortho", axes=(0, 1, 2))
+        ref = normalize_pointwise(scipy.fft.idctn(
+            fr / denom[..., None], type=2, norm="ortho", axes=(0, 1, 2)),
+            mask)
+        assert np.max(np.abs(m1 - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_relax_to_equilibrium_on_ellipsoid_mask():

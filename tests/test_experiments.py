@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from twoscale_ll.demag import TensorDemag
+from twoscale_ll.demag import FftDemag, TensorDemag
 from twoscale_ll.experiments import (
     AsymptoticsPlan,
     HysteresisPlan,
@@ -49,6 +49,20 @@ def test_asymptotics_plan_validation():
         AsymptoticsPlan((0.1, 0.03), sched, alpha=1.0, T=1.0)
     with pytest.raises(ValueError):
         AsymptoticsPlan((0.1,), sched, alpha=1.0, T=1.0, dt_over_eps=0.0)
+
+
+def test_asymptotics_rejects_a_wrong_analytic_reference():
+    # u(t) is an equilibrium only on one cell with an isotropic tensor; the
+    # default plan must not measure the distance to it anywhere else
+    sched = FieldSchedule.constant(1.0, (0.0, 0.0, 1.0))
+    plan = AsymptoticsPlan((0.1,), sched, alpha=1.0, T=1.0)
+    g8 = Grid3(8, 8, 8, 1 / 8, 1 / 8, 1 / 8)
+    with pytest.raises(ValueError, match="analytic_equilibrium"):
+        run_asymptotics(plan, g8, DomainMask.full(g8), FftDemag.for_grid(g8))
+    g1 = Grid3(1, 1, 1)
+    with pytest.raises(ValueError, match="analytic_equilibrium"):
+        run_asymptotics(plan, g1, DomainMask.full(g1),
+                        TensorDemag(np.diag([0.2, 0.3, 0.5])))
 
 
 def test_asymptotics_zero_perturbation_tracks_equilibrium():
