@@ -109,8 +109,7 @@ def cmd_relax(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
     m, converged = relax_to_equilibrium(
         m0, sched.t_min, cfg.get("experiment", "relax_tol"),
         cfg.get("experiment", "relax_max_t"), solver, g, mask, demag, sched)
-    rec, _ = integrate(m, replace(solver, T=0.0), g, mask, demag, sched,
-                       t0=sched.t_min)
+    rec, _ = integrate(m, replace(solver, T=0.0), g, mask, demag, sched)
     _write(os.path.join(out, "relax.csv"), record_to_csv(rec), quiet)
     if not quiet:
         print(f"converged={converged} residual={rec.residual[0]:.3e}")
@@ -122,8 +121,7 @@ def cmd_evolve(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
     m0 = normalize_pointwise(
         constant_field(g, sched.direction.at(sched.t_min), mask), mask)
     rec, _ = integrate(m0, solver, g, mask, demag, sched,
-                       sample_every=cfg.get("solver", "sample_every"),
-                       t0=sched.t_min)
+                       sample_every=cfg.get("solver", "sample_every"))
     _write(os.path.join(out, "evolve.csv"), record_to_csv(rec), quiet)
     return 0
 

@@ -81,6 +81,7 @@ class TensorDemag:
             raise ValueError("D must be a symmetric 3x3 matrix")
         if np.any(np.linalg.eigvalsh(D) <= 0):
             raise ValueError("D must be positive definite")
+        object.__setattr__(self, "D", D)
 
 
 DemagModel = FftDemag | TensorDemag

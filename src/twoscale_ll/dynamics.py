@@ -19,6 +19,7 @@ from .grid import (
     cross3,
     dot3,
     grad_sq,
+    inner_products,
     laplacian_neumann,
     mean_magnetization,
     neumann_eigenvalues,
@@ -204,10 +205,10 @@ def equilibrium_residual(t: float, m: np.ndarray, g: Grid3, mask: DomainMask,
 
 def integrate(m0: np.ndarray, cfg: SolverConfig, g: Grid3, mask: DomainMask,
               demag: DemagModel, sched: FieldSchedule,
-              sample_every: int = 1, t0: float = 0.0,
+              sample_every: int = 1,
               reference: Callable[[float], np.ndarray] | None = None,
               ) -> tuple[RunRecord, np.ndarray]:
-    """Advance the LL flow over [t0, t0+T], sampling diagnostics.
+    """Advance the LL flow from t0 = sched.t_min over T, sampling diagnostics.
 
     The step dt must divide T (relative tolerance 1e-9), so the run ends
     at t0 + T; otherwise ValueError. reference(t), when given, supplies the
@@ -215,8 +216,6 @@ def integrate(m0: np.ndarray, cfg: SolverConfig, g: Grid3, mask: DomainMask,
     in a step or in reference(t), the rows sampled so far are attached to
     the raised BlowUpError.
     """
-    from .grid import inner_products
-
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     dt = resolve_dt(cfg, g) if cfg.T > 0 else 1.0
@@ -239,6 +238,7 @@ def integrate(m0: np.ndarray, cfg: SolverConfig, g: Grid3, mask: DomainMask,
             [np.asarray(c) for c in zip(*rows)] if rows else [np.empty(0)] * 6
         return RunRecord(times, lam, mean.reshape(-1, 3), en, res, dist)
 
+    t0 = sched.t_min
     m = m0
     try:
         sample(t0, m)
@@ -261,33 +261,29 @@ def relax_to_equilibrium(m0: np.ndarray, t_frozen: float, tol: float,
 
     Equilibria solve m ^ h_T = 0, which does not involve the precession
     term, so the flow is dm/dtau = -alpha g with g = m ^ (m ^ h_T). A step
-    of size tau is one damped step, then renormalized:
-        projected-explicit      m+ = m - tau alpha g,
-        semi-implicit-spectral  m+ = m - (1/tau - alpha Lap)^-1 (alpha g),
-    the latter preconditioned by the cosine solve. On unit fields it is the
-    exchange-implicit step (1/tau - alpha Lap) m+ = m/tau - alpha (Lap m + g),
-    where -alpha (Lap m + g) is the damping part of F. The first step is
-    the configured dt (resolve_dt at eps = 1), which is also the floor of
-    the Barzilai-Borwein (BB2) steps tau = (s.y) / (alpha y.y) that follow,
-    with s the change of m and y the change of g. BB2 steps may raise the
+    of size tau is one damped step m+ = m - P(alpha g), then renormalized.
+    The domain chooses P: the cosine solve P = (1/tau - alpha Lap)^-1 on
+    the full box (P = tau on one cell, where Lap = 0), P = tau on a mask.
+    On unit fields the full-box step is the exchange-implicit step
+    (1/tau - alpha Lap) m+ = m/tau - alpha (Lap m + g), where
+    -alpha (Lap m + g) is the damping part of F. The first step is cfg.dt,
+    or if unset the explicit CFL step of resolve_dt at eps = 1; it is also
+    the floor of the Barzilai-Borwein (BB2) steps tau = (s.y) / (alpha y.y)
+    that follow (s, y: the changes of m and g). BB2 steps may raise the
     residual for a while by design; a rise after a step at the floor means
-    the floor is too large, so the floor is halved. At most
-    ceil(max_T / dt) steps.
+    the floor is too large, so it is halved. At most ceil(max_T / dt) steps.
 
     Returns (final field, whether the tolerance was met).
     """
-    dt = resolve_dt(replace(cfg, epsilon=1.0, T=max_T), g)
+    dt = resolve_dt(replace(cfg, epsilon=1.0, T=max_T,
+                            integrator="projected-explicit"), g)
     n_steps = int(np.ceil(max_T / dt))
     alpha = cfg.alpha
-    h_ext = eval_h_ext(sched, t_frozen, g, mask)
     m = m0
     tau = floor = dt
     prev = None  # (m, m ^ (m ^ h_T), residual) before the last step
     for i in range(n_steps + 1):
-        # the same sums as total_field, so res is equilibrium_residual
-        h = demag_field(demag, m, g, mask) + h_ext \
-            + laplacian_neumann(m, g, mask)
-        mxh = cross3(m, apply_mask(h, mask))
+        mxh = cross3(m, total_field(t_frozen, m, g, mask, demag, sched))
         res = norm_l2(mxh, g, mask)
         if res < tol:
             return m, True
@@ -303,10 +299,10 @@ def relax_to_equilibrium(m0: np.ndarray, t_frozen: float, tol: float,
             tau = max(floor, sy / (alpha * float(np.sum(y * y)))) \
                 if sy > 0 else floor
         prev = (m, grad, res)
-        if cfg.integrator == "projected-explicit":
-            out = m - (tau * alpha) * grad
-        else:
+        if mask.is_full_box:
             out = m - _cosine_solve(alpha * grad, 1.0 / tau, alpha, g, mask)
+        else:
+            out = m - (tau * alpha) * grad
         if not np.all(np.isfinite(out)):
             raise BlowUpError(t_frozen)
         m = normalize_pointwise(out, mask)

@@ -124,7 +124,7 @@ def run_asymptotics(plan: AsymptoticsPlan, g: Grid3, mask: DomainMask,
                          "isotropic tensor demag; set it to False")
     t0 = plan.sched.t_min
     relax_cfg = SolverConfig(epsilon=1.0, alpha=plan.alpha, T=plan.T,
-                             integrator=plan.integrator, dt=plan.relax_dt)
+                             dt=plan.relax_dt)
 
     def solve(t: float, guess: np.ndarray) -> tuple[np.ndarray, bool]:
         return relax_to_equilibrium(guess, t, plan.relax_tol,
@@ -146,7 +146,7 @@ def run_asymptotics(plan: AsymptoticsPlan, g: Grid3, mask: DomainMask,
                            integrator=plan.integrator, dt=dt)
         ref, ref_converged = _equilibrium_tracker(plan, g, mask, solve, m_eq0)
         rec, _ = integrate(m0, cfg, g, mask, demag, plan.sched,
-                           sample_every=sample_every, t0=t0, reference=ref)
+                           sample_every=sample_every, reference=ref)
         records[eps] = rec
         tau = detect_layer_exit(rec.times, rec.dist_h2, plan.threshold_factor)
         after = rec.times >= tau

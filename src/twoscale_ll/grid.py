@@ -107,6 +107,12 @@ class DomainMask:
     def volume(self) -> float:
         return float(np.count_nonzero(self.inside)) * self.cell_volume
 
+    @property
+    def is_full_box(self) -> bool:
+        """Whether the body fills the grid box, the one domain on which the
+        cosine modes diagonalize laplacian_neumann."""
+        return bool(np.all(self.inside))
+
     @staticmethod
     def full(g: Grid3) -> "DomainMask":
         return DomainMask(np.ones(g.shape, dtype=bool), g.cell_volume)
@@ -221,9 +227,8 @@ def neumann_eigenvalues(g: Grid3) -> np.ndarray:
 
 
 def require_full_box(mask: DomainMask, what: str) -> None:
-    """Reject a masked domain for an operation built on the cosine spectrum:
-    the cosine modes diagonalize laplacian_neumann on the full box only."""
-    if not np.all(mask.inside):
+    """Reject a masked domain for an operation built on the cosine spectrum."""
+    if not mask.is_full_box:
         raise ModeMismatchError(f"{what} requires a full-box domain mask")
 
 

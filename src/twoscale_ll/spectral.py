@@ -25,10 +25,9 @@ from .schedule import FieldSchedule
 @lru_cache(maxsize=8)
 def _mode_order(g: Grid3) -> np.ndarray:
     """Flat indices of all cosine mode triples, ordered by the eigenvalue
-    of A = 1 - Laplacian (discrete), ties broken lexicographically."""
+    of A = 1 - Laplacian (discrete), ties broken in C order (lexicographic)."""
     flat = (1.0 + neumann_eigenvalues(g)).ravel()
-    triples = np.stack(np.unravel_index(np.arange(flat.size), g.shape), axis=1)
-    return np.lexsort((triples[:, 2], triples[:, 1], triples[:, 0], flat))
+    return np.argsort(flat, kind="stable")
 
 
 def project_Pk(u: np.ndarray, k: int, g: Grid3,

@@ -103,6 +103,29 @@ def test_relax_reports_convergence(tmp_path, capsys):
     assert os.path.exists(tmp_path / "relax.csv")
 
 
+def test_relax_on_ellipsoid_with_the_default_integrator(tmp_path, capsys):
+    # the domain, not the integrator, chooses the relaxation step: a masked
+    # sample under the default semi-implicit-spectral integrator, no dt
+    cfg = _write_cfg(tmp_path, """
+[grid]
+nx = 8
+ny = 8
+nz = 8
+hx = 0.25
+hy = 0.25
+hz = 0.25
+
+[domain]
+shape = ellipsoid
+a = 1.0
+b = 0.9
+c = 0.8
+""")
+    rc = cli.main(["relax", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 0
+    assert "converged=True" in capsys.readouterr().out
+
+
 def test_plot_builds_svg_from_records(tmp_path):
     cfg = _write_cfg(tmp_path, MACROSPIN_CFG)
     assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path),

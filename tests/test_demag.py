@@ -50,6 +50,15 @@ def test_tensor_field_is_minus_Dm():
     assert np.allclose(h[0, 0, 0], -D @ np.array([0.6, 0.0, 0.8]))
 
 
+def test_tensor_from_nested_lists_is_minus_Dm():
+    g = Grid3(1, 1, 1)
+    mask = DomainMask.full(g)
+    D = [[1 / 3, 0, 0], [0, 1 / 3, 0], [0, 0, 1 / 3]]
+    m = constant_field(g, (0.6, 0.0, 0.8), mask)
+    h = demag_field(TensorDemag(D), m, g, mask)
+    assert np.allclose(h[0, 0, 0], -np.asarray(D) @ np.array([0.6, 0.0, 0.8]))
+
+
 def test_fft_padding_minimum():
     g = Grid3(8, 8, 8, 0.1, 0.1, 0.1)
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Time integration: field assembly, step properties, energy, relaxation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -261,6 +263,16 @@ def test_integrate_ends_at_T_or_refuses(macrospin, sphere_tensor,
     assert rec.times[-1] == pytest.approx(0.03, rel=1e-12)
 
 
+def test_integrate_starts_at_the_schedule_start(macrospin, sphere_tensor):
+    g, mask = macrospin
+    sched = FieldSchedule(np.array([[2.0, 0.7], [3.0, 0.7]]))
+    cfg = SolverConfig(epsilon=0.1, alpha=1.0, T=0.05, dt=0.01,
+                       integrator="projected-explicit")
+    rec, _ = integrate(up_field(g, mask), cfg, g, mask, sphere_tensor, sched)
+    assert rec.times[0] == 2.0
+    assert rec.times[-1] == pytest.approx(2.05, rel=1e-12)
+
+
 def test_relax_to_equilibrium_macrospin(macrospin, sphere_tensor,
                                         static_field):
     g, mask = macrospin
@@ -318,6 +330,35 @@ def test_relax_to_equilibrium_damping_flow_on_box(static_field):
     assert np.max(np.abs(m_eq - m_ref)) < 1e-5
 
 
+def test_relax_to_equilibrium_on_box_ignores_the_integrator(static_field):
+    # the full box takes the cosine-preconditioned step whatever the
+    # integrator; a plain explicit step from dt = 0.05 stalls near 1.5e-5
+    g, mask, demag = _box8()
+    m0 = constant_field(g, np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0), mask)
+    runs = []
+    for integrator in ("projected-explicit", "semi-implicit-spectral"):
+        cfg = SolverConfig(epsilon=0.1, alpha=1.0, T=1.0, dt=0.05,
+                           integrator=integrator)
+        runs.append(relax_to_equilibrium(m0, 0.0, 1e-8, 50.0, cfg, g, mask,
+                                         demag, static_field))
+    (m_a, ok_a), (m_b, ok_b) = runs
+    assert ok_a and ok_b
+    assert np.array_equal(m_a, m_b)
+
+
+def test_relax_to_equilibrium_on_box_without_dt(static_field):
+    # with dt unset the first step is the explicit CFL step at eps = 1,
+    # under the default integrator too
+    g, mask, demag = _box8()
+    cfg = SolverConfig(epsilon=0.1, alpha=1.0, T=1.0)
+    m0 = constant_field(g, np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0), mask)
+    m_eq, converged = relax_to_equilibrium(m0, 0.0, 1e-8, 50.0, cfg, g,
+                                           mask, demag, static_field)
+    assert converged
+    assert equilibrium_residual(0.0, m_eq, g, mask, demag,
+                                static_field) < 1e-8
+
+
 def test_relax_to_equilibrium_one_step_is_the_semi_implicit_step(
         static_field):
     # tol = 0 and max_T = dt take exactly one damped step. On unit fields it
@@ -346,19 +387,25 @@ def test_relax_to_equilibrium_one_step_is_the_semi_implicit_step(
         assert np.max(np.abs(m1 - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_relax_to_equilibrium_on_ellipsoid_mask():
-    # masked domains relax with the projected-explicit step (CFL-policy
-    # first step); the field stays unit inside and zero outside
+@pytest.mark.parametrize("integrator",
+                         ["projected-explicit", "semi-implicit-spectral"])
+def test_relax_to_equilibrium_on_ellipsoid_mask(integrator):
+    # masked domains relax with the plain damping step P = tau whatever the
+    # integrator (CFL-policy first step); the field stays unit inside and
+    # zero outside
     g = Grid3(12, 12, 12, 2.0 / 12, 1.6 / 12, 1.2 / 12)
     mask = DomainMask.ellipsoid(g, EllipsoidSpec(1.0, 0.8, 0.6))
     demag = FftDemag.for_grid(g)
     sched = FieldSchedule.constant(0.7, (1.0, 0.0, 0.0))
-    cfg = SolverConfig(epsilon=0.1, alpha=1.0, T=1.0,
-                       integrator="projected-explicit")
+    cfg = SolverConfig(epsilon=0.1, alpha=1.0, T=1.0, integrator=integrator)
     m0 = constant_field(g, np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0), mask)
     m_eq, converged = relax_to_equilibrium(m0, 0.0, 1e-6, 50.0, cfg, g,
                                            mask, demag, sched)
     assert converged
+    m_explicit, _ = relax_to_equilibrium(
+        m0, 0.0, 1e-6, 50.0, replace(cfg, integrator="projected-explicit"),
+        g, mask, demag, sched)
+    assert np.array_equal(m_eq, m_explicit)
     assert equilibrium_residual(0.0, m_eq, g, mask, demag, sched) < 1e-6
     norms = np.sqrt(dot3(m_eq, m_eq))
     assert np.max(np.abs(norms[mask.inside] - 1.0)) <= 1e-12
