@@ -59,14 +59,9 @@ def main():
               f"{row['tau_over_eps_log']:>20.3f} "
               f"{row['sup_dist_after_tau']:>20.4e}")
     with open(os.path.join(OUT, "layer_summary.csv"), "w") as f:
-        f.write(table_to_csv({
-            "eps": [r["eps"] for r in result["summary"]],
-            "tau": [r["tau"] for r in result["summary"]],
-            "tau_over_eps_log": [r["tau_over_eps_log"]
-                                 for r in result["summary"]],
-            "sup_dist_after_tau": [r["sup_dist_after_tau"]
-                                   for r in result["summary"]],
-        }))
+        keys = ("eps", "tau", "tau_over_eps_log", "sup_dist_after_tau")
+        f.write(table_to_csv(
+            {k: [r[k] for r in result["summary"]] for k in keys}))
     print(f"\nwrote curves and summary under {OUT}/")
 
 

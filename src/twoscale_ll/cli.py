@@ -149,13 +149,9 @@ def cmd_asymptotics(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
     for eps, rec in result["records"].items():
         _write(os.path.join(out, f"asymptotics_eps_{eps:g}.csv"),
                record_to_csv(rec), quiet)
-    summary = result["summary"]
-    _write(os.path.join(out, "asymptotics_summary.csv"), table_to_csv({
-        "eps": [r["eps"] for r in summary],
-        "tau": [r["tau"] for r in summary],
-        "tau_over_eps_log": [r["tau_over_eps_log"] for r in summary],
-        "sup_dist_after_tau": [r["sup_dist_after_tau"] for r in summary],
-    }), quiet)
+    keys = ("eps", "tau", "tau_over_eps_log", "sup_dist_after_tau")
+    _write(os.path.join(out, "asymptotics_summary.csv"), table_to_csv(
+        {k: [r[k] for r in result["summary"]] for k in keys}), quiet)
     return 0
 
 
@@ -175,13 +171,10 @@ def cmd_hysteresis(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
     result = run_hysteresis(plan)
     _write(os.path.join(out, "hysteresis_loop.csv"), table_to_csv({
         "lambda": result["lam"], "m_dot_u": result["m_dot_u"]}), quiet)
-    _write(os.path.join(out, "hysteresis_summary.csv"), table_to_csv({
-        "switching_up": [result["switching_up"]],
-        "switching_down": [result["switching_down"]],
-        "switching_predicted": [result["switching_predicted"]],
-        "loop_area": [result["loop_area"]],
-        "loop_closure": [result["loop_closure"]],
-    }), quiet)
+    keys = ("switching_up", "switching_down", "switching_predicted",
+            "loop_area", "loop_closure")
+    _write(os.path.join(out, "hysteresis_summary.csv"), table_to_csv(
+        {k: [result[k]] for k in keys}), quiet)
     _write(os.path.join(out, "hysteresis_loop.svg"), svg_line_chart(
         [("loop", result["lam"], result["m_dot_u"])],
         x_label="lambda", y_label="m.u"), quiet)
@@ -246,10 +239,8 @@ def cmd_spectral_selftest(cfg: RunConfig, out: str, seed: int,
         ortho = inner_products(pu, u - pu, g, mask)["l2"]
         rows.append({"k": k, "commute_err": float(commute),
                      "ortho_err": abs(float(ortho))})
-    _write(os.path.join(out, "spectral_selftest.csv"), table_to_csv({
-        "k": [r["k"] for r in rows],
-        "commute_err": [r["commute_err"] for r in rows],
-        "ortho_err": [r["ortho_err"] for r in rows]}), quiet)
+    _write(os.path.join(out, "spectral_selftest.csv"), table_to_csv(
+        {name: [r[name] for r in rows] for name in rows[0]}), quiet)
     ok = all(r["commute_err"] < 1e-10 and r["ortho_err"] < 1e-10
              for r in rows)
     if not quiet:

@@ -97,21 +97,18 @@ def _fft_field(model: FftDemag, m: np.ndarray, g: Grid3, mask: DomainMask,
     _check_field(m, g)
     if model.grid.shape != g.shape:
         raise ModeMismatchError("demag model was built for a different grid")
-    nx, ny, nz = g.shape
     mm = apply_mask(m, mask)
     ks, k2 = model._spectrum
     kdotm = None
-    pad = np.zeros(model.padded_shape)
     for i, k in enumerate(ks):
-        pad[...] = 0.0
-        pad[:nx, :ny, :nz] = mm[..., i]
-        fm = scipy.fft.rfftn(pad)
+        # rfftn zero-pads the component up to the padded shape
+        fm = scipy.fft.rfftn(mm[..., i], s=model.padded_shape)
         fm *= k
         kdotm = fm if kdotm is None else kdotm + fm
     coeff = kdotm / k2
     coeff *= -1.0
     coeff[0, 0, 0] = 0.0
-    del mm, pad, fm, kdotm  # free them before the inverse transforms
+    del mm, fm, kdotm  # free them before the inverse transforms
     sx, sy, sz = shape
     h = np.empty(shape + (3,))
     for i, k in enumerate(ks):

@@ -67,7 +67,8 @@ def resolve_dt(cfg: SolverConfig, g: Grid3) -> float:
         h2 = min(h**2 for h, n in zip(g.spacings, g.shape) if n > 1)
         dt = 0.2 * cfg.epsilon * h2 / (6.0 * cfg.alpha)
         return cfg.T / ceil(cfg.T / dt) if cfg.T > 0 else dt
-    raise ValueError("dt must be set explicitly for this configuration")
+    raise ValueError("dt must be set: there is no default step on a "
+                     "one-cell grid or for semi-implicit-spectral")
 
 
 def _n_steps(T: float, dt: float) -> int:

@@ -23,6 +23,12 @@ from .linearization import sample_admissible_perturbation
 from .schedule import FieldSchedule, FixedDirection
 
 
+# First step and step floor of the study's relaxations. It suits the
+# preconditioned step of a full box; masked domains wait for the masked
+# implicit solve (ROADMAP item 1).
+_RELAX_DT = 0.05
+
+
 @dataclass(frozen=True)
 class AsymptoticsPlan:
     """Ladder study of the fast-response limit under a slow field."""
@@ -39,8 +45,6 @@ class AsymptoticsPlan:
     analytic_equilibrium: bool = True  # m_eq(t) = u(t); one cell, D = d I
     relax_tol: float = 1e-9
     relax_max_T: float = 50.0
-    relax_dt: float = 0.05          # first step and step floor of the
-                                    # damping-only relaxation flow
     samples_per_run: int = 150
 
     def __post_init__(self):
@@ -79,30 +83,6 @@ def detect_layer_exit(times: np.ndarray, d: np.ndarray,
     return float(times[hits[0]]) if len(hits) else float(t_end)
 
 
-def _equilibrium_tracker(plan: AsymptoticsPlan, g: Grid3, mask: DomainMask,
-                         solve, m_eq0: np.ndarray):
-    """Callable t -> m_eq(t): analytic u(t) on a spherical sample, or
-    solve(t, guess) warm-started from the previous solution (m_eq0 first).
-
-    Also returns the list the callable appends each solve's converged flag
-    to (it stays empty in analytic mode).
-    """
-    converged: list[bool] = []
-    if plan.analytic_equilibrium:
-        def ref(t: float) -> np.ndarray:
-            return constant_field(g, plan.sched.direction.at(t), mask)
-        return ref, converged
-
-    state = {"m": m_eq0}
-
-    def ref(t: float) -> np.ndarray:
-        state["m"], ok = solve(t, state["m"])
-        converged.append(ok)
-        return state["m"]
-
-    return ref, converged
-
-
 def run_asymptotics(plan: AsymptoticsPlan, g: Grid3, mask: DomainMask,
                     demag: DemagModel) -> dict:
     """Run the eps ladder and summarize layer exit and tracking error.
@@ -124,7 +104,7 @@ def run_asymptotics(plan: AsymptoticsPlan, g: Grid3, mask: DomainMask,
                          "isotropic tensor demag; set it to False")
     t0 = plan.sched.t_min
     relax_cfg = SolverConfig(epsilon=1.0, alpha=plan.alpha, T=plan.T,
-                             dt=plan.relax_dt)
+                             dt=_RELAX_DT)
 
     def solve(t: float, guess: np.ndarray) -> tuple[np.ndarray, bool]:
         return relax_to_equilibrium(guess, t, plan.relax_tol,
@@ -144,7 +124,17 @@ def run_asymptotics(plan: AsymptoticsPlan, g: Grid3, mask: DomainMask,
         sample_every = max(1, n_steps // plan.samples_per_run)
         cfg = SolverConfig(epsilon=eps, alpha=plan.alpha, T=plan.T,
                            integrator=plan.integrator, dt=dt)
-        ref, ref_converged = _equilibrium_tracker(plan, g, mask, solve, m_eq0)
+        ref_converged: list[bool] = []
+        m_ref = m_eq0
+
+        def ref(t: float) -> np.ndarray:
+            nonlocal m_ref
+            if plan.analytic_equilibrium:
+                return constant_field(g, plan.sched.direction.at(t), mask)
+            m_ref, ok = solve(t, m_ref)
+            ref_converged.append(ok)
+            return m_ref
+
         rec, _ = integrate(m0, cfg, g, mask, demag, plan.sched,
                            sample_every=sample_every, reference=ref)
         records[eps] = rec

@@ -16,16 +16,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def record_to_csv(rec: RunRecord) -> str:
-    lines = [CSV_HEADER]
-    for i in range(len(rec.times)):
-        lines.append(",".join(_fmt(v) for v in (
-            rec.times[i], rec.lam[i], rec.mean[i, 0], rec.mean[i, 1],
-            rec.mean[i, 2], rec.energy[i], rec.residual[i],
-            rec.dist_h2[i])))
-    return "\n".join(lines) + "\n"
-
-
 def table_to_csv(columns: dict[str, Sequence]) -> str:
     names = list(columns)
     n = len(columns[names[0]])
@@ -33,6 +23,12 @@ def table_to_csv(columns: dict[str, Sequence]) -> str:
     for i in range(n):
         lines.append(",".join(_fmt(columns[k][i]) for k in names))
     return "\n".join(lines) + "\n"
+
+
+def record_to_csv(rec: RunRecord) -> str:
+    return table_to_csv(dict(zip(CSV_HEADER.split(","), (
+        rec.times, rec.lam, *rec.mean.T, rec.energy, rec.residual,
+        rec.dist_h2), strict=True)))
 
 
 def svg_line_chart(series: list[tuple[str, np.ndarray, np.ndarray]],

@@ -103,6 +103,14 @@ def test_relax_reports_convergence(tmp_path, capsys):
     assert os.path.exists(tmp_path / "relax.csv")
 
 
+@pytest.mark.parametrize("command", ["evolve", "relax"])
+def test_no_config_asks_for_dt_on_one_cell(tmp_path, capsys, command):
+    # the default grid is one cell and the default dt is unset
+    rc = cli.main([command, "--out", str(tmp_path), "--quiet"])
+    assert rc == 1
+    assert "one-cell grid" in capsys.readouterr().err
+
+
 def test_relax_on_ellipsoid_with_the_default_integrator(tmp_path, capsys):
     # the domain, not the integrator, chooses the relaxation step: a masked
     # sample under the default semi-implicit-spectral integrator, no dt
@@ -159,6 +167,8 @@ epsilon = 0.001
                    "--quiet"])
     assert rc == 0
     summary = (tmp_path / "hysteresis_summary.csv").read_text().splitlines()
+    assert summary[0] == ("switching_up,switching_down,switching_predicted,"
+                          "loop_area,loop_closure")
     cols = dict(zip(summary[0].split(","),
                     [float(v) for v in summary[1].split(",")]))
     assert cols["loop_area"] > 0.0
@@ -236,6 +246,8 @@ def test_asymptotics_box_macrospin_writes_ladder(tmp_path):
     for eps in ("0.1", "0.05", "0.025", "0.0125"):
         lines = (tmp_path / f"asymptotics_eps_{eps}.csv").read_text()
         assert lines.splitlines()[0] == CSV_HEADER
+    header = (tmp_path / "asymptotics_summary.csv").read_text().splitlines()[0]
+    assert header == "eps,tau,tau_over_eps_log,sup_dist_after_tau"
     s = _summary(tmp_path)
     assert np.allclose(s["eps"], [0.1, 0.05, 0.025, 0.0125])
     assert np.all(np.diff(s["sup_dist_after_tau"]) < 0)

@@ -110,8 +110,7 @@ def test_asymptotics_reports_reference_convergence():
     base = dict(eps_ladder=(0.1,), sched=sched, alpha=1.0, T=0.5,
                 perturbation=0.2, seed=1, analytic_equilibrium=False,
                 samples_per_run=10)
-    starved = AsymptoticsPlan(**base, relax_max_T=0.05, relax_dt=0.05,
-                              relax_tol=1e-14)
+    starved = AsymptoticsPlan(**base, relax_max_T=0.05, relax_tol=1e-14)
     row, = run_asymptotics(starved, g, mask, demag)["summary"]
     assert row["reference_converged"] is False
     row, = run_asymptotics(AsymptoticsPlan(**base), g, mask, demag)["summary"]

@@ -32,6 +32,7 @@ def test_csv_header_and_shape():
     assert len(lines) == 2
     assert text.endswith("\n")
     assert len(lines[1].split(",")) == 8
+    assert record_to_csv(_record(0)) == CSV_HEADER + "\n"
 
 
 def test_csv_round_trips_doubles_exactly():
