@@ -147,6 +147,27 @@ def test_tensor_estimate_prolate_ordering():
     assert d[0] == pytest.approx(Na, rel=0.08)
 
 
+@pytest.mark.parametrize("spec", [EllipsoidSpec(1.0, 0.8, 0.6),
+                                  EllipsoidSpec(3.0, 1.0, 1.0)])
+def test_tensor_estimate_matches_the_operator(spec):
+    # reference: the body mean of -h_d(e_j) from the padded FFT operator
+    n = 16
+    g = Grid3(n, n, n, 2 * spec.a / n, 2 * spec.b / n, 2 * spec.c / n)
+    mask = DomainMask.ellipsoid(g, spec)
+    model = FftDemag.for_grid(g, 4)
+    R = np.zeros((3, 3))
+    for j in range(3):
+        h = demag_field(model, constant_field(g, np.eye(3)[j], mask), g, mask)
+        for i in range(3):
+            R[i, j] = -np.mean(h[..., i][mask.inside])
+    D = demag_tensor_estimate(spec, n)
+    assert np.max(np.abs(D - R)) <= 1e-15
+    assert np.array_equal(D, D.T)
+    # the wrap-around bias: trace 1 - N_body / N_pad, exactly
+    n_body = int(np.count_nonzero(mask.inside))
+    assert abs(np.trace(D) - (1.0 - n_body / (4 * n) ** 3)) <= 1e-14
+
+
 def test_depolarization_tensor_rule():
     # exact I/3 for any sphere; the FFT estimate for anything else
     for r in (1.0, 2.5):
