@@ -108,11 +108,14 @@ def cmd_relax(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
     m0 = constant_field(g, sched.direction.at(sched.t_min), mask)
     m, converged = relax_to_equilibrium(
         m0, sched.t_min, cfg.get("experiment", "relax_tol"),
-        cfg.get("experiment", "relax_max_t"), solver, g, mask, demag, sched)
+        cfg.get("experiment", "relax_max_t"), solver.alpha, g, mask, demag,
+        sched)
     rec, _ = integrate(m, replace(solver, T=0.0), g, mask, demag, sched)
     _write(os.path.join(out, "relax.csv"), record_to_csv(rec), quiet)
     if not quiet:
         print(f"converged={converged} residual={rec.residual[0]:.3e}")
+    if not converged:
+        print("warning: relaxation did not converge", file=sys.stderr)
     return 0
 
 
@@ -152,18 +155,22 @@ def cmd_asymptotics(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
     keys = ("eps", "tau", "tau_over_eps_log", "sup_dist_after_tau")
     _write(os.path.join(out, "asymptotics_summary.csv"), table_to_csv(
         {k: [r[k] for r in result["summary"]] for k in keys}), quiet)
+    for r in result["summary"]:
+        if not (r["initial_relax_converged"] and r["reference_converged"]):
+            print(f"warning: eps = {r['eps']:g}: an equilibrium solve did "
+                  f"not converge (initial: {r['initial_relax_converged']}, "
+                  f"reference: {r['reference_converged']})", file=sys.stderr)
     return 0
 
 
 def cmd_hysteresis(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
-    solver = cfg.to_dict()["solver"]
     plan = HysteresisPlan(
         ellipsoid=_ellipsoid(cfg) or _UNIT_SPHERE,  # as in _tensor
         lam_max=cfg.get("experiment", "lam_max"),
         period=cfg.get("experiment", "period"),
         epsilon=cfg.get("material", "epsilon"),
         alpha=cfg.get("material", "alpha"),
-        dt=solver["dt"] if solver["dt"] is not None else 0.05,
+        dt=cfg.get("solver", "dt") or 0.05,  # dt is unset or > 0
         field_tilt=cfg.get("experiment", "field_tilt"),
         tensor_resolution=cfg.get("experiment", "tensor_resolution"),
         n_warmup_periods=cfg.get("experiment", "warmup_periods"),

@@ -107,8 +107,7 @@ class RunConfig:
     values: tuple[tuple[str, tuple[tuple[str, object], ...]], ...]
 
     def get(self, section: str, key: str):
-        d = dict(dict(self.values)[section])
-        return d[key]
+        return dict(dict(self.values)[section])[key]
 
     @staticmethod
     def from_dict(d: dict[str, dict[str, object]]) -> "RunConfig":

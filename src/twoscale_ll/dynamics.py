@@ -4,7 +4,7 @@ frozen-time relaxation flow used to produce equilibria."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import ceil
 from typing import Callable
 
@@ -58,14 +58,19 @@ class SolverConfig:
             raise ValueError("dt must be > 0")
 
 
+def _cfl_dt(epsilon: float, alpha: float, g: Grid3) -> float:
+    """Explicit diffusion-CFL step 0.2 eps h^2 / (6 alpha), finest h."""
+    h2 = min(h**2 for h, n in zip(g.spacings, g.shape) if n > 1)
+    return 0.2 * epsilon * h2 / (6.0 * alpha)
+
+
 def resolve_dt(cfg: SolverConfig, g: Grid3) -> float:
     """Fixed dt if given, else the diffusion-CFL policy for explicit runs,
     shortened so that it divides T when T > 0."""
     if cfg.dt is not None:
         return cfg.dt
     if cfg.integrator == "projected-explicit" and not g.is_macrospin:
-        h2 = min(h**2 for h, n in zip(g.spacings, g.shape) if n > 1)
-        dt = 0.2 * cfg.epsilon * h2 / (6.0 * cfg.alpha)
+        dt = _cfl_dt(cfg.epsilon, cfg.alpha, g)
         return cfg.T / ceil(cfg.T / dt) if cfg.T > 0 else dt
     raise ValueError("dt must be set: there is no default step on a "
                      "one-cell grid or for semi-implicit-spectral")
@@ -253,35 +258,33 @@ def integrate(m0: np.ndarray, cfg: SolverConfig, g: Grid3, mask: DomainMask,
 
 
 def relax_to_equilibrium(m0: np.ndarray, t_frozen: float, tol: float,
-                         max_T: float, cfg: SolverConfig, g: Grid3,
+                         max_T: float, alpha: float, g: Grid3,
                          mask: DomainMask, demag: DemagModel,
                          sched: FieldSchedule) -> tuple[np.ndarray, bool]:
     """Frozen-time relaxation: run a damping-only pseudo-time flow, with
     h_ext held at its t_frozen value, until the torque residual
-    ||m ^ h_T||_L2 drops below tol.
+    ||m ^ h_T||_L2 drops below tol; returns (field, whether it did).
 
     Equilibria solve m ^ h_T = 0, which does not involve the precession
     term, so the flow is dm/dtau = -alpha g with g = m ^ (m ^ h_T). A step
     of size tau is one damped step m+ = m - P(alpha g), then renormalized.
-    The domain chooses P: the cosine solve P = (1/tau - alpha Lap)^-1 on
-    the full box (P = tau on one cell, where Lap = 0), P = tau on a mask.
+    The domain chooses P and the first step: on the full box the cosine
+    solve P = (1/tau - alpha Lap)^-1 from tau = 0.05 (P = tau on one cell,
+    where Lap = 0); on a mask P = tau from the explicit CFL step at eps = 1.
     On unit fields the full-box step is the exchange-implicit step
     (1/tau - alpha Lap) m+ = m/tau - alpha (Lap m + g), where
-    -alpha (Lap m + g) is the damping part of F. The first step is cfg.dt,
-    or if unset the explicit CFL step of resolve_dt at eps = 1; it is also
-    the floor of the Barzilai-Borwein (BB2) steps tau = (s.y) / (alpha y.y)
+    -alpha (Lap m + g) is the damping part of F. The first step is also the
+    floor of the Barzilai-Borwein (BB2) steps tau = (s.y) / (alpha y.y)
     that follow (s, y: the changes of m and g). BB2 steps may raise the
     residual for a while by design; a rise after a step at the floor means
-    the floor is too large, so it is halved. At most ceil(max_T / dt) steps.
-
-    Returns (final field, whether the tolerance was met).
+    the floor is too large, so it is halved. A stall without a rise leaves
+    the floor in place, so a first step near the stability limit
+    2 / (alpha lambda) of the stiffest damping mode lambda may use up the
+    budget of ceil(max_T / first step) steps unconverged.
     """
-    dt = resolve_dt(replace(cfg, epsilon=1.0, T=max_T,
-                            integrator="projected-explicit"), g)
-    n_steps = int(np.ceil(max_T / dt))
-    alpha = cfg.alpha
+    tau = floor = 0.05 if mask.is_full_box else _cfl_dt(1.0, alpha, g)
+    n_steps = ceil(max_T / tau)
     m = m0
-    tau = floor = dt
     prev = None  # (m, m ^ (m ^ h_T), residual) before the last step
     for i in range(n_steps + 1):
         mxh = cross3(m, total_field(t_frozen, m, g, mask, demag, sched))

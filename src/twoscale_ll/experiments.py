@@ -23,12 +23,6 @@ from .linearization import sample_admissible_perturbation
 from .schedule import FieldSchedule, FixedDirection
 
 
-# First step and step floor of the study's relaxations. It suits the
-# preconditioned step of a full box; masked domains wait for the masked
-# implicit solve (ROADMAP item 1).
-_RELAX_DT = 0.05
-
-
 @dataclass(frozen=True)
 class AsymptoticsPlan:
     """Ladder study of the fast-response limit under a slow field."""
@@ -103,12 +97,10 @@ def run_asymptotics(plan: AsymptoticsPlan, g: Grid3, mask: DomainMask,
         raise ValueError("analytic_equilibrium needs one cell with an "
                          "isotropic tensor demag; set it to False")
     t0 = plan.sched.t_min
-    relax_cfg = SolverConfig(epsilon=1.0, alpha=plan.alpha, T=plan.T,
-                             dt=_RELAX_DT)
 
     def solve(t: float, guess: np.ndarray) -> tuple[np.ndarray, bool]:
         return relax_to_equilibrium(guess, t, plan.relax_tol,
-                                    plan.relax_max_T, relax_cfg, g, mask,
+                                    plan.relax_max_T, plan.alpha, g, mask,
                                     demag, plan.sched)
 
     m_eq0, converged = solve(

@@ -261,7 +261,7 @@ def inner_products(u: np.ndarray, v: np.ndarray, g: Grid3,
     l2 = float(np.sum(dot3(u, v)[w])) * dV
     h1 = l2 + float(np.sum(grad_dot(u, v, g, mask)[w])) * dV
     lu = laplacian_neumann(u, g, mask)
-    lv = laplacian_neumann(v, g, mask)
+    lv = lu if v is u else laplacian_neumann(v, g, mask)
     h2 = l2 + float(np.sum(dot3(lu, lv)[w])) * dV
     return {"l2": l2, "h1": h1, "h2": h2}
 

@@ -63,9 +63,7 @@ def linearized_apply(t: float, m_eq: np.ndarray, delta: np.ndarray,
     against h_T(m_eq), the torque of m_eq against (Lap + h_d)(delta), and
     the three damping couplings through h_d(m_eq) + h_ext.
     """
-    hd_eq = demag_field(demag, m_eq, g, mask)
-    h_ext = eval_h_ext(sched, t, g, mask)
-    hde = hd_eq + h_ext
+    hde = demag_field(demag, m_eq, g, mask) + eval_h_ext(sched, t, g, mask)
     hd_delta = demag_field(demag, delta, g, mask)
     lap_delta = laplacian_neumann(delta, g, mask)
     gsq_eq = grad_sq(m_eq, g, mask)
@@ -91,9 +89,7 @@ def remainder_apply(t: float, m_eq: np.ndarray, delta: np.ndarray,
     the decomposition F(m_eq + delta) - F(m_eq) = L delta + R(delta) would
     fail at second order.
     """
-    hd_eq = demag_field(demag, m_eq, g, mask)
-    h_ext = eval_h_ext(sched, t, g, mask)
-    hde = hd_eq + h_ext
+    hde = demag_field(demag, m_eq, g, mask) + eval_h_ext(sched, t, g, mask)
     hd_delta = demag_field(demag, delta, g, mask)
     lap_delta = laplacian_neumann(delta, g, mask)
     gdot = grad_dot(m_eq, delta, g, mask)

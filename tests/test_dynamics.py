@@ -1,7 +1,5 @@
 """Time integration: field assembly, step properties, energy, relaxation."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 import scipy.fft
@@ -277,9 +275,7 @@ def test_relax_to_equilibrium_macrospin(macrospin, sphere_tensor,
                                         static_field):
     g, mask = macrospin
     m0 = constant_field(g, np.array([1.0, 0.0, 0.2]) / np.sqrt(1.04), mask)
-    cfg = SolverConfig(epsilon=0.1, alpha=1.0, T=1.0, dt=0.05,
-                       integrator="projected-explicit")
-    m_eq, converged = relax_to_equilibrium(m0, 0.0, 1e-10, 50.0, cfg, g,
+    m_eq, converged = relax_to_equilibrium(m0, 0.0, 1e-10, 50.0, 1.0, g,
                                            mask, sphere_tensor, static_field)
     assert converged
     assert np.allclose(m_eq[0, 0, 0], [0.0, 0.0, 1.0], atol=1e-5)
@@ -287,16 +283,14 @@ def test_relax_to_equilibrium_macrospin(macrospin, sphere_tensor,
 
 def test_relax_to_equilibrium_freezes_a_moving_field(macrospin,
                                                      sphere_tensor):
-    # rotating field, relaxed at t = 0.3 with the explicit midpoint: the
-    # fixed point must be the equilibrium at 0.3, not at 0.3 + dt/2
+    # rotating field, relaxed at t = 0.3: the fixed point must be the
+    # equilibrium at 0.3, not at a later time
     g, mask = macrospin
     sched = FieldSchedule(
         np.array([[0.0, 5.0], [10.0, 5.0]]),
         RotatingDirection((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 0.5))
-    cfg = SolverConfig(epsilon=0.1, alpha=1.0, T=1.0, dt=0.05,
-                       integrator="projected-explicit")
     m0 = constant_field(g, (0.0, 0.0, 1.0), mask)
-    m_eq, converged = relax_to_equilibrium(m0, 0.3, 1e-10, 50.0, cfg, g,
+    m_eq, converged = relax_to_equilibrium(m0, 0.3, 1e-10, 50.0, 1.0, g,
                                            mask, sphere_tensor, sched)
     assert converged
     assert np.allclose(m_eq[0, 0, 0], sched.direction.at(0.3), atol=1e-9)
@@ -312,10 +306,9 @@ def test_relax_to_equilibrium_damping_flow_on_box(static_field):
     # energy not raised, and the equilibrium of a tight solve from
     # elsewhere (same basin)
     g, mask, demag = _box8()
-    cfg = SolverConfig(epsilon=0.1, alpha=1.0, T=1.0, dt=0.05,
-                       integrator="semi-implicit-spectral")
+    cfg = SolverConfig(epsilon=0.1, alpha=1.0, T=1.0)  # for energy
     m0 = constant_field(g, np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0), mask)
-    m_eq, converged = relax_to_equilibrium(m0, 0.0, 1e-6, 50.0, cfg, g,
+    m_eq, converged = relax_to_equilibrium(m0, 0.0, 1e-6, 50.0, 1.0, g,
                                            mask, demag, static_field)
     assert converged
     assert equilibrium_residual(0.0, m_eq, g, mask, demag,
@@ -324,35 +317,18 @@ def test_relax_to_equilibrium_damping_flow_on_box(static_field):
     assert energy(0.0, m_eq, cfg, g, mask, demag, static_field) \
         <= energy(0.0, m0, cfg, g, mask, demag, static_field)
     other = constant_field(g, np.array([0.6, -0.8, 1.0]) / np.sqrt(2.0), mask)
-    m_ref, converged = relax_to_equilibrium(other, 0.0, 1e-10, 50.0, cfg, g,
+    m_ref, converged = relax_to_equilibrium(other, 0.0, 1e-10, 50.0, 1.0, g,
                                             mask, demag, static_field)
     assert converged
     assert np.max(np.abs(m_eq - m_ref)) < 1e-5
 
 
-def test_relax_to_equilibrium_on_box_ignores_the_integrator(static_field):
-    # the full box takes the cosine-preconditioned step whatever the
-    # integrator; a plain explicit step from dt = 0.05 stalls near 1.5e-5
-    g, mask, demag = _box8()
-    m0 = constant_field(g, np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0), mask)
-    runs = []
-    for integrator in ("projected-explicit", "semi-implicit-spectral"):
-        cfg = SolverConfig(epsilon=0.1, alpha=1.0, T=1.0, dt=0.05,
-                           integrator=integrator)
-        runs.append(relax_to_equilibrium(m0, 0.0, 1e-8, 50.0, cfg, g, mask,
-                                         demag, static_field))
-    (m_a, ok_a), (m_b, ok_b) = runs
-    assert ok_a and ok_b
-    assert np.array_equal(m_a, m_b)
-
-
 def test_relax_to_equilibrium_on_box_without_dt(static_field):
-    # with dt unset the first step is the explicit CFL step at eps = 1,
-    # under the default integrator too
+    # no step to set: the full box takes the cosine-preconditioned step
+    # from 0.05, where a plain explicit step from 0.05 stalls near 1.5e-5
     g, mask, demag = _box8()
-    cfg = SolverConfig(epsilon=0.1, alpha=1.0, T=1.0)
     m0 = constant_field(g, np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0), mask)
-    m_eq, converged = relax_to_equilibrium(m0, 0.0, 1e-8, 50.0, cfg, g,
+    m_eq, converged = relax_to_equilibrium(m0, 0.0, 1e-8, 50.0, 1.0, g,
                                            mask, demag, static_field)
     assert converged
     assert equilibrium_residual(0.0, m_eq, g, mask, demag,
@@ -361,9 +337,10 @@ def test_relax_to_equilibrium_on_box_without_dt(static_field):
 
 def test_relax_to_equilibrium_one_step_is_the_semi_implicit_step(
         static_field):
-    # tol = 0 and max_T = dt take exactly one damped step. On unit fields it
-    # equals the semi-implicit step with the damping half of F as its
-    # right-hand side, solved in the cosine basis:
+    # tol = 0 and max_T = 0.05, the first step on the full box, take
+    # exactly one damped step. On unit fields it equals the semi-implicit
+    # step with the damping half of F as its right-hand side, solved in
+    # the cosine basis:
     # (1/tau - alpha Lap) m+ = m/tau + alpha (|grad m|^2 m
     #                                         - m ^ (m ^ (h_d + h_ext)))
     g, mask, demag = _box8()
@@ -371,11 +348,10 @@ def test_relax_to_equilibrium_one_step_is_the_semi_implicit_step(
     h_de = demag_field(demag, m0, g, mask) \
         + eval_h_ext(static_field, 0.0, g, mask)
     gsq = -dot3(m0, laplacian_neumann(m0, g, mask))
-    for alpha, dt in ((1.0, 0.05), (0.3, 0.2)):
-        cfg = SolverConfig(epsilon=0.1, alpha=alpha, T=1.0, dt=dt,
-                           integrator="semi-implicit-spectral")
-        m1, converged = relax_to_equilibrium(m0, 0.0, 0.0, dt, cfg, g, mask,
-                                             demag, static_field)
+    dt = 0.05
+    for alpha in (1.0, 0.3):
+        m1, converged = relax_to_equilibrium(m0, 0.0, 0.0, dt, alpha, g,
+                                             mask, demag, static_field)
         assert not converged
         rhs = m0 / dt + alpha * (gsq[..., None] * m0
                                  - cross3(m0, cross3(m0, h_de)))
@@ -387,25 +363,18 @@ def test_relax_to_equilibrium_one_step_is_the_semi_implicit_step(
         assert np.max(np.abs(m1 - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("integrator",
-                         ["projected-explicit", "semi-implicit-spectral"])
-def test_relax_to_equilibrium_on_ellipsoid_mask(integrator):
-    # masked domains relax with the plain damping step P = tau whatever the
-    # integrator (CFL-policy first step); the field stays unit inside and
-    # zero outside
+def test_relax_to_equilibrium_on_ellipsoid_mask():
+    # masked domains relax with the plain damping step P = tau from the
+    # explicit CFL step at eps = 1; the field stays unit inside and zero
+    # outside
     g = Grid3(12, 12, 12, 2.0 / 12, 1.6 / 12, 1.2 / 12)
     mask = DomainMask.ellipsoid(g, EllipsoidSpec(1.0, 0.8, 0.6))
     demag = FftDemag.for_grid(g)
     sched = FieldSchedule.constant(0.7, (1.0, 0.0, 0.0))
-    cfg = SolverConfig(epsilon=0.1, alpha=1.0, T=1.0, integrator=integrator)
     m0 = constant_field(g, np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0), mask)
-    m_eq, converged = relax_to_equilibrium(m0, 0.0, 1e-6, 50.0, cfg, g,
+    m_eq, converged = relax_to_equilibrium(m0, 0.0, 1e-6, 50.0, 1.0, g,
                                            mask, demag, sched)
     assert converged
-    m_explicit, _ = relax_to_equilibrium(
-        m0, 0.0, 1e-6, 50.0, replace(cfg, integrator="projected-explicit"),
-        g, mask, demag, sched)
-    assert np.array_equal(m_eq, m_explicit)
     assert equilibrium_residual(0.0, m_eq, g, mask, demag, sched) < 1e-6
     norms = np.sqrt(dot3(m_eq, m_eq))
     assert np.max(np.abs(norms[mask.inside] - 1.0)) <= 1e-12
@@ -413,16 +382,15 @@ def test_relax_to_equilibrium_on_ellipsoid_mask(integrator):
 
 
 def test_relax_to_equilibrium_safeguard_recovers_a_large_dt():
-    # under a field of amplitude 5 a fixed semi-implicit damping step of 0.5
-    # stalls at residual ~1.8; halving the step floor still converges
+    # under a field of amplitude 60 the first step 0.05 of the full box is
+    # too large: with the floor fixed the residual stays near 27; halving
+    # the step floor still converges
     g, mask, demag = _box8()
     sched = FieldSchedule(
-        np.array([[0.0, 5.0], [10.0, 5.0]]),
+        np.array([[0.0, 60.0], [10.0, 60.0]]),
         RotatingDirection((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 0.5))
-    cfg = SolverConfig(epsilon=0.1, alpha=1.0, T=1.0, dt=0.5,
-                       integrator="semi-implicit-spectral")
     m_eq, converged = relax_to_equilibrium(up_field(g, mask), 0.3, 1e-8,
-                                           50.0, cfg, g, mask, demag, sched)
+                                           50.0, 1.0, g, mask, demag, sched)
     assert converged
     assert equilibrium_residual(0.3, m_eq, g, mask, demag, sched) < 1e-8
 

@@ -117,6 +117,21 @@ def test_asymptotics_reports_reference_convergence():
     assert row["reference_converged"] is True
 
 
+def test_asymptotics_on_ellipsoid_mask_converges():
+    # a masked study relaxes with the plain step from the explicit CFL
+    # step; from a fixed first step of 0.05 its initial relaxation ran out
+    # of budget at 1e-6
+    g = Grid3(12, 12, 12, 2.0 / 12, 1.6 / 12, 1.2 / 12)
+    mask = DomainMask.ellipsoid(g, EllipsoidSpec(1.0, 0.8, 0.6))
+    plan = AsymptoticsPlan(
+        (0.1,), FieldSchedule.constant(0.7, (1.0, 0.3, 0.2)), alpha=1.0,
+        T=1e-3, dt_over_eps=1e-4, integrator="projected-explicit",
+        analytic_equilibrium=False, relax_tol=1e-6, samples_per_run=2)
+    row, = run_asymptotics(plan, g, mask, FftDemag.for_grid(g))["summary"]
+    assert row["initial_relax_converged"] is True
+    assert row["reference_converged"] is True
+
+
 def test_hysteresis_plan_validation():
     with pytest.raises(ValueError):
         HysteresisPlan(EllipsoidSpec(2.0, 1.0, 1.0), lam_max=0.0)
