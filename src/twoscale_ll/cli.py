@@ -33,7 +33,8 @@ from .experiments import (
     run_asymptotics,
     run_hysteresis,
 )
-from .grid import DomainMask, EllipsoidSpec, Grid3, constant_field, normalize_pointwise
+from .grid import (DomainMask, EllipsoidSpec, Grid3, _box_center,
+                   constant_field, normalize_pointwise)
 from .linearization import dissipation_scan
 from .reporting import (
     CSV_HEADER,
@@ -62,10 +63,14 @@ def _ellipsoid(cfg: RunConfig) -> EllipsoidSpec | None:
     return EllipsoidSpec(d["a"], d["b"], d["c"])
 
 
+def _tensor_shape(cfg: RunConfig) -> EllipsoidSpec:
+    """The ellipsoid of the tensor rule; a box is taken as the unit sphere."""
+    return _ellipsoid(cfg) or _UNIT_SPHERE
+
+
 def _tensor(cfg: RunConfig) -> np.ndarray:
-    """Depolarization tensor of the sample (a box taken as the unit
-    sphere), by the library's one tensor rule."""
-    return depolarization_tensor(_ellipsoid(cfg) or _UNIT_SPHERE,
+    """Depolarization tensor of the sample, by the library's one rule."""
+    return depolarization_tensor(_tensor_shape(cfg),
                                  cfg.get("experiment", "tensor_resolution"))
 
 
@@ -84,7 +89,7 @@ def _build(cfg: RunConfig):
     else:
         direction = FixedDirection(np.asarray(f["direction"]))
     if f["envelope"] == "bump":
-        center = f["bump_center"] or (0.0, 0.0, 0.0)
+        center = f["bump_center"] or _box_center(g)
         envelope = BumpEnvelope(center, f["bump_radius"])
     else:
         envelope = ConstantEnvelope()
@@ -165,12 +170,12 @@ def cmd_asymptotics(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
 
 def cmd_hysteresis(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
     plan = HysteresisPlan(
-        ellipsoid=_ellipsoid(cfg) or _UNIT_SPHERE,  # as in _tensor
+        ellipsoid=_tensor_shape(cfg),
         lam_max=cfg.get("experiment", "lam_max"),
         period=cfg.get("experiment", "period"),
         epsilon=cfg.get("material", "epsilon"),
         alpha=cfg.get("material", "alpha"),
-        dt=cfg.get("solver", "dt") or 0.05,  # dt is unset or > 0
+        dt=cfg.get("solver", "dt") or HysteresisPlan.dt,  # unset or > 0
         field_tilt=cfg.get("experiment", "field_tilt"),
         tensor_resolution=cfg.get("experiment", "tensor_resolution"),
         n_warmup_periods=cfg.get("experiment", "warmup_periods"),

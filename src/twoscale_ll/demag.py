@@ -142,13 +142,12 @@ def demag_tensor_estimate(e: EllipsoidSpec, resolution: int) -> np.ndarray:
     mask. With chi the body's indicator on the padded box,
     -h_d(e_j)^ = k k_j chi^ / |k|^2, so by Parseval
     D = sum_{k != 0} |chi^(k)|^2 k k^T / |k|^2 / (N_body N_pad): one forward
-    transform, exactly symmetric. Converges toward the exact tensor
-    (trace 1) under refinement.
+    transform, exactly symmetric. Its trace is exactly 1 - N_body / N_pad
+    at every resolution, not the exact tensor's 1: refinement keeps the
+    body's share of the padded box, and so this wrap-around bias.
 
-    The padding factor is 4 here (above the operator's 2x minimum): the
-    wrap-around bias scales with the body's volume fraction of the padded
-    box (the trace is exactly 1 - N_body / N_pad), and the tight bounding
-    box would otherwise dominate the estimate.
+    The padding factor is 4 here (above the operator's 2x minimum): at 2x
+    around the tight bounding box the bias would dominate the estimate.
     """
     if resolution < 16:
         raise ValueError("resolution must be >= 16")

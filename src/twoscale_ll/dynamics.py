@@ -282,6 +282,8 @@ def relax_to_equilibrium(m0: np.ndarray, t_frozen: float, tol: float,
     2 / (alpha lambda) of the stiffest damping mode lambda may use up the
     budget of ceil(max_T / first step) steps unconverged.
     """
+    if max_T < 0:
+        raise ValueError(f"max_T must be >= 0, got {max_T}")
     tau = floor = 0.05 if mask.is_full_box else _cfl_dt(1.0, alpha, g)
     n_steps = ceil(max_T / tau)
     m = m0

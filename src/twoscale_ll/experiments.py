@@ -20,7 +20,7 @@ from .dynamics import (
 )
 from .grid import DomainMask, EllipsoidSpec, Grid3, constant_field
 from .linearization import sample_admissible_perturbation
-from .schedule import FieldSchedule, FixedDirection
+from .schedule import FieldSchedule
 
 
 @dataclass(frozen=True)
@@ -42,21 +42,22 @@ class AsymptoticsPlan:
     samples_per_run: int = 150
 
     def __post_init__(self):
-        eps = np.asarray(self.eps_ladder, dtype=float)
-        if np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
-            raise ValueError("eps ladder must be positive and decreasing")
-        if self.dt_over_eps <= 0:
-            raise ValueError("dt_over_eps must be > 0")
+        if len(self.eps_ladder) == 0 or np.any(np.diff(self.eps_ladder) >= 0):
+            raise ValueError("eps ladder must be non-empty and decreasing")
+        if self.samples_per_run < 1:
+            raise ValueError("samples_per_run must be >= 1")
         for e in self.eps_ladder:
-            _rung_steps(self, e)
+            _rung(self, e)
 
 
-def _rung_steps(plan: AsymptoticsPlan, eps: float) -> tuple[float, int]:
-    """Step size and step count of the eps rung; ValueError naming eps
-    unless its step divides plan.T."""
-    dt = plan.dt_over_eps * eps
+def _rung(plan: AsymptoticsPlan, eps: float) -> tuple[SolverConfig, int]:
+    """Solver config and step count of the eps rung; ValueError naming eps
+    unless the config is valid and its step divides plan.T."""
     try:
-        return dt, _n_steps(plan.T, dt)
+        cfg = SolverConfig(epsilon=eps, alpha=plan.alpha, T=plan.T,
+                           integrator=plan.integrator,
+                           dt=plan.dt_over_eps * eps)
+        return cfg, _n_steps(plan.T, cfg.dt)
     except ValueError as err:
         raise ValueError(f"eps = {eps}: {err}") from None
 
@@ -112,10 +113,8 @@ def run_asymptotics(plan: AsymptoticsPlan, g: Grid3, mask: DomainMask,
     records: dict[float, RunRecord] = {}
     summary = []
     for eps in plan.eps_ladder:
-        dt, n_steps = _rung_steps(plan, eps)
+        cfg, n_steps = _rung(plan, eps)
         sample_every = max(1, n_steps // plan.samples_per_run)
-        cfg = SolverConfig(epsilon=eps, alpha=plan.alpha, T=plan.T,
-                           integrator=plan.integrator, dt=dt)
         ref_converged: list[bool] = []
         m_ref = m_eq0
 
@@ -169,16 +168,18 @@ class HysteresisPlan:
     def __post_init__(self):
         if self.lam_max <= 0:
             raise ValueError("sweep must cross both signs of lambda")
+        if min(self.period, self.epsilon, self.alpha, self.dt) <= 0:
+            raise ValueError("period, epsilon, alpha and dt must be > 0")
+        if self.n_warmup_periods < 0:
+            raise ValueError("n_warmup_periods must be >= 0")
 
 
-def _triangular_schedule(lam_max: float, period: float, n_periods: int,
-                         direction) -> FieldSchedule:
-    """lambda(t) sweeping -lam_max -> +lam_max -> -lam_max per period."""
-    knots = [(0.0, -lam_max)]
-    for p in range(n_periods):
-        knots.append(((p + 0.5) * period, lam_max))
-        knots.append(((p + 1.0) * period, -lam_max))
-    return FieldSchedule(np.asarray(knots), direction)
+def _triangular_knots(lam_max: float, period: float,
+                      n_periods: int) -> tuple[np.ndarray, np.ndarray]:
+    """Knot times and values of lambda(t), sweeping -lam_max -> +lam_max
+    -> -lam_max once per period."""
+    k = np.arange(2 * n_periods + 1)
+    return 0.5 * period * k, np.where(k % 2, lam_max, -lam_max)
 
 
 def run_hysteresis(plan: HysteresisPlan) -> dict:
@@ -202,10 +203,8 @@ def run_hysteresis(plan: HysteresisPlan) -> dict:
     u_field = u * np.cos(plan.field_tilt) + v * np.sin(plan.field_tilt)
 
     n_periods = plan.n_warmup_periods + 1
-    sched = _triangular_schedule(plan.lam_max, plan.period, n_periods,
-                                 FixedDirection(u_field))
-    knots_t = sched.knots[:, 0]
-    knots_v = sched.knots[:, 1]
+    knots_t, knots_v = _triangular_knots(plan.lam_max, plan.period,
+                                         n_periods)
     eps, alpha = plan.epsilon, plan.alpha
     # A tiny constant transverse field keeps the anti-aligned state from
     # being an exact (deterministically pinned) equilibrium; for degenerate

@@ -77,6 +77,12 @@ class Grid3:
         )
 
 
+def _box_center(g: Grid3) -> tuple[float, float, float]:
+    """Center of the grid box."""
+    return tuple(o + n * h / 2
+                 for o, n, h in zip(g.origin, g.shape, g.spacings))
+
+
 @dataclass(frozen=True)
 class EllipsoidSpec:
     """Axis-aligned ellipsoid with semi-axes a >= b >= c > 0."""
@@ -121,8 +127,7 @@ class DomainMask:
     def ellipsoid(g: Grid3, e: EllipsoidSpec) -> "DomainMask":
         """Staircase mask of an axis-aligned ellipsoid centered in the box."""
         x, y, z = g.cell_centers()
-        cx, cy, cz = (o + n * h / 2
-                      for o, n, h in zip(g.origin, g.shape, g.spacings))
+        cx, cy, cz = _box_center(g)
         r2 = ((x - cx) / e.a) ** 2 + ((y - cy) / e.b) ** 2 \
             + ((z - cz) / e.c) ** 2
         return DomainMask(r2 <= 1.0, g.cell_volume)

@@ -179,6 +179,8 @@ def dissipation_scan(D: np.ndarray, u: np.ndarray, lambdas, alpha: float,
     d = float(u @ D @ u)
     if not g.is_macrospin:
         raise ValueError("dissipation_scan currently runs in macrospin mode")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     demag = TensorDemag(D)
     rows = []
     threshold = None

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import twoscale_ll.cli as cli
+from twoscale_ll.config import parse_config
 from twoscale_ll.dynamics import BlowUpError
 from twoscale_ll.reporting import CSV_HEADER
+from twoscale_ll.schedule import eval_h_ext
 
 MACROSPIN_CFG = """
 [material]
@@ -119,10 +121,8 @@ def test_relax_without_config_needs_no_dt(tmp_path, capsys):
     assert "converged=True" in capsys.readouterr().out
 
 
-def test_relax_on_ellipsoid_with_the_default_integrator(tmp_path, capsys):
-    # the domain, not the integrator, chooses the relaxation step: a masked
-    # sample under the default semi-implicit-spectral integrator, no dt
-    cfg = _write_cfg(tmp_path, """
+# an 8^3 box of side 2 holding a 192-cell ellipsoid
+ELLIPSOID_8_CFG = """
 [grid]
 nx = 8
 ny = 8
@@ -136,7 +136,13 @@ shape = ellipsoid
 a = 1.0
 b = 0.9
 c = 0.8
-""")
+"""
+
+
+def test_relax_on_ellipsoid_with_the_default_integrator(tmp_path, capsys):
+    # the domain, not the integrator, chooses the relaxation step: a masked
+    # sample under the default semi-implicit-spectral integrator, no dt
+    cfg = _write_cfg(tmp_path, ELLIPSOID_8_CFG)
     rc = cli.main(["relax", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 0
     assert "converged=True" in capsys.readouterr().out
@@ -187,25 +193,8 @@ epsilon = 0.001
 
 def test_evolve_rejects_spectral_solve_on_ellipsoid(tmp_path, capsys):
     # the default integrator solves in the cosine basis of the full box
-    cfg = _write_cfg(tmp_path, """
-[grid]
-nx = 8
-ny = 8
-nz = 8
-hx = 0.25
-hy = 0.25
-hz = 0.25
-
-[domain]
-shape = ellipsoid
-a = 1.0
-b = 0.9
-c = 0.8
-
-[solver]
-dt = 0.001
-t_final = 0.01
-""")
+    cfg = _write_cfg(tmp_path, ELLIPSOID_8_CFG
+                     + "\n[solver]\ndt = 0.001\nt_final = 0.01\n")
     rc = cli.main(["evolve", "--config", cfg, "--out", str(tmp_path),
                    "--quiet"])
     assert rc == 1
@@ -331,3 +320,54 @@ def test_evolve_rejects_negative_bump_radius(tmp_path, capsys):
                    "--quiet"])
     assert rc == 1
     assert "bump radius must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("relax", "relax_max_t = -1", "max_T must be >= 0"),
+    ("asymptotics", "relax_max_t = -1", "max_T must be >= 0"),
+    ("dissipation-scan", "n_samples = 0", "n_samples must be >= 1"),
+    ("hysteresis", "warmup_periods = -1", "n_warmup_periods must be >= 0"),
+], ids=["relax", "asymptotics", "dissipation-scan", "hysteresis"])
+def test_unrunnable_config_exit_one(tmp_path, capsys, command, extra,
+                                    message):
+    cfg = _write_cfg(tmp_path, MACROSPIN_CFG + f"\n[experiment]\n{extra}\n")
+    rc = cli.main([command, "--config", cfg, "--out", str(tmp_path),
+                   "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_bump_defaults_to_the_box_center():
+    # the ellipsoid mask is centered in the box; so is a bump without
+    # bump_center, which therefore reaches the body
+    cfg = parse_config(ELLIPSOID_8_CFG
+                       + "\n[field]\nenvelope = bump\nbump_radius = 0.8\n")
+    g, mask, _, sched, _ = cli._build(cfg)
+    h = eval_h_ext(sched, 0.0, g, mask)
+    assert np.max(np.linalg.norm(h[mask.inside], axis=-1)) > 0.9
+
+
+def test_asymptotics_rotating_field_then_plot(tmp_path):
+    # the paper's slowly rotating field, then the distance chart of the
+    # four per-eps records (the summary CSV is not a record and is skipped)
+    cfg = _write_cfg(tmp_path, """
+[field]
+knots = 0.0:5.0, 10.0:5.0
+direction = 0, 0, 1
+rotate_to = 1, 0, 0
+omega = 0.5
+
+[solver]
+integrator = projected-explicit
+t_final = 0.5
+""")
+    assert cli.main(["asymptotics", "--config", cfg, "--out", str(tmp_path),
+                     "--quiet"]) == 0
+    sup_d = _summary(tmp_path)["sup_dist_after_tau"]
+    assert len(sup_d) == 4
+    assert np.all(np.diff(sup_d) < 0)
+    assert cli.main(["plot", "--out", str(tmp_path), "--quiet"]) == 0
+    svg = (tmp_path / "dist_h2.svg").read_text()
+    assert svg.count("<polyline") == 4

@@ -42,6 +42,8 @@ def test_asymptotics_plan_validation():
     sched = FieldSchedule.constant(1.0, (0.0, 0.0, 1.0))
     with pytest.raises(ValueError):
         AsymptoticsPlan((0.1, 0.2), sched, alpha=1.0, T=1.0)  # not decreasing
+    with pytest.raises(ValueError, match="non-empty"):
+        AsymptoticsPlan((), sched, alpha=1.0, T=1.0)  # would run nothing
     with pytest.raises(ValueError):
         AsymptoticsPlan((0.1, -0.05), sched, alpha=1.0, T=1.0)
     # dt = 0.02 * 0.03 does not divide T: refused before any rung runs
@@ -49,6 +51,13 @@ def test_asymptotics_plan_validation():
         AsymptoticsPlan((0.1, 0.03), sched, alpha=1.0, T=1.0)
     with pytest.raises(ValueError):
         AsymptoticsPlan((0.1,), sched, alpha=1.0, T=1.0, dt_over_eps=0.0)
+    # each rung's SolverConfig is built, and so checked, at construction
+    with pytest.raises(ValueError, match="eps = 0.1: unknown integrator"):
+        AsymptoticsPlan((0.1,), sched, alpha=1.0, T=1.0, integrator="rk4")
+    with pytest.raises(ValueError, match="eps = 0.1: .*alpha must be > 0"):
+        AsymptoticsPlan((0.1,), sched, alpha=-1.0, T=1.0)
+    with pytest.raises(ValueError, match="samples_per_run"):
+        AsymptoticsPlan((0.1,), sched, alpha=1.0, T=1.0, samples_per_run=0)
 
 
 def test_asymptotics_rejects_a_wrong_analytic_reference():
@@ -133,19 +142,24 @@ def test_asymptotics_on_ellipsoid_mask_converges():
 
 
 def test_hysteresis_plan_validation():
+    e = EllipsoidSpec(2.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        HysteresisPlan(EllipsoidSpec(2.0, 1.0, 1.0), lam_max=0.0)
+        HysteresisPlan(e, lam_max=0.0)
+    # dt = 0 divided by zero and epsilon = 0 never returned from LSODA
+    for bad in ({"period": 0.0}, {"epsilon": 0.0}, {"alpha": 0.0},
+                {"dt": 0.0}):
+        with pytest.raises(ValueError, match="must be > 0"):
+            HysteresisPlan(e, lam_max=0.6, **bad)
+    with pytest.raises(ValueError, match="n_warmup_periods must be >= 0"):
+        HysteresisPlan(e, lam_max=0.6, n_warmup_periods=-1)
 
 
 def test_triangular_schedule_shape():
-    from twoscale_ll.experiments import _triangular_schedule
-    from twoscale_ll.schedule import FixedDirection
-    s = _triangular_schedule(0.6, 10.0, 2, FixedDirection(np.array([1.0, 0, 0])))
-    assert s.amplitude(0.0) == -0.6
-    assert s.amplitude(5.0) == 0.6
-    assert s.amplitude(10.0) == -0.6
-    assert s.amplitude(2.5) == pytest.approx(0.0)
-    assert s.amplitude(20.0) == -0.6
+    from twoscale_ll.experiments import _triangular_knots
+    times, values = _triangular_knots(0.6, 10.0, 2)
+    assert times.tolist() == [0.0, 5.0, 10.0, 15.0, 20.0]
+    assert values.tolist() == [-0.6, 0.6, -0.6, 0.6, -0.6]
+    assert np.interp(2.5, times, values) == pytest.approx(0.0)
 
 
 def test_hysteresis_prolate_switching_and_area():
