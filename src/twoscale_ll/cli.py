@@ -34,7 +34,8 @@ from .experiments import (
     run_hysteresis,
 )
 from .grid import (DomainMask, EllipsoidSpec, Grid3, _box_center,
-                   constant_field, normalize_pointwise)
+                   constant_field, inner_products, laplacian_neumann,
+                   normalize_pointwise)
 from .linearization import dissipation_scan
 from .reporting import (
     CSV_HEADER,
@@ -236,8 +237,6 @@ def cmd_demag_selftest(cfg: RunConfig, out: str, seed: int,
 
 def cmd_spectral_selftest(cfg: RunConfig, out: str, seed: int,
                           quiet: bool) -> int:
-    from .grid import inner_products, laplacian_neumann
-
     g = Grid3(12, 10, 8, 0.1, 0.12, 0.15)
     mask = DomainMask.full(g)
     rng = np.random.default_rng(seed)

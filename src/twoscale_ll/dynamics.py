@@ -18,7 +18,6 @@ from .grid import (
     apply_mask,
     cross3,
     dot3,
-    grad_sq,
     inner_products,
     laplacian_neumann,
     mean_magnetization,
@@ -189,17 +188,14 @@ def energy(t: float, m: np.ndarray, cfg: SolverConfig, g: Grid3,
            sched: FieldSchedule) -> float:
     """E = 1/2 int |grad m|^2 - 1/2 int m.h_d(m) - int m.h_ext(t).
 
-    The exchange term uses the same discrete gradient as grad_sq, so the
-    discrete energy gradient is exactly -h_T and the decay identity holds
-    up to time-discretization error only.
+    Evaluated as the quadratic form of the field, -1/2 (m | h_T + h_ext):
+    by summation by parts -(m | Lap m) is the summed grad_dot(m, m), so
+    the discrete energy gradient is exactly -h_T and the decay identity
+    holds up to time-discretization error only.
     """
-    dV = mask.cell_volume
-    w = mask.inside
-    hd = demag_field(demag, m, g, mask)
-    he = eval_h_ext(sched, t, g, mask)
-    return -0.5 * float(np.sum(dot3(m, hd)[w])) * dV \
-        - float(np.sum(dot3(m, he)[w])) * dV \
-        + 0.5 * float(np.sum(grad_sq(m, g, mask)[w])) * dV
+    h = total_field(t, m, g, mask, demag, sched) \
+        + eval_h_ext(sched, t, g, mask)
+    return -0.5 * float(np.sum(dot3(m, h)[mask.inside])) * mask.cell_volume
 
 
 def equilibrium_residual(t: float, m: np.ndarray, g: Grid3, mask: DomainMask,

@@ -46,6 +46,10 @@ class AsymptoticsPlan:
             raise ValueError("eps ladder must be non-empty and decreasing")
         if self.samples_per_run < 1:
             raise ValueError("samples_per_run must be >= 1")
+        if not 0 < self.perturbation < 1:
+            raise ValueError("perturbation must be in (0, 1)")
+        if self.threshold_factor <= 0:
+            raise ValueError("threshold_factor must be > 0")
         for e in self.eps_ladder:
             _rung(self, e)
 

@@ -191,9 +191,10 @@ def grad_dot(u: np.ndarray, v: np.ndarray, g: Grid3, mask: DomainMask) -> np.nda
     """Pointwise discrete gradient pairing sum_i (d_i u).(d_i v).
 
     Uses the half-sum of the two one-sided differences per axis (mirror
-    ghosts across the mask boundary). For unit fields the induced
-    grad_sq(m) coincides pointwise with -m.laplacian(m), which is the
-    identity the parabolic reformulation relies on.
+    ghosts across the mask boundary). Pointwise it is
+    Lap(u.v)/2 - (u.Lap v + v.Lap u)/2, so its sum is -(u | Lap v), and on
+    unit fields grad_dot(m, m) = -m.Lap(m), the identity the parabolic
+    reformulation relies on.
     """
     _check_field(u, g)
     _check_field(v, g)
@@ -207,11 +208,6 @@ def grad_dot(u: np.ndarray, v: np.ndarray, g: Grid3, mask: DomainMask) -> np.nda
         out[lo] += c
         out[hi] += c
     return out
-
-
-def grad_sq(u: np.ndarray, g: Grid3, mask: DomainMask) -> np.ndarray:
-    """Pointwise |grad u|^2 (half-sum one-sided differences)."""
-    return grad_dot(u, u, g, mask)
 
 
 @lru_cache(maxsize=8)
@@ -256,17 +252,18 @@ def inner_products(u: np.ndarray, v: np.ndarray, g: Grid3,
                    mask: DomainMask) -> dict[str, float]:
     """Discrete L2, H1 and H2 inner products over the masked cells.
 
-    h2 is the L2 pairing plus the Laplacian pairing (norm-equivalent to the
-    full H2 product on the Neumann domain).
+    h1 adds the summed gradient pairing, -(u | Lap v) by parts; h2 adds the
+    Laplacian pairing (norm-equivalent to the full H2 product on the
+    Neumann domain).
     """
     _check_field(u, g)
     _check_field(v, g)
     dV = mask.cell_volume
     w = mask.inside
     l2 = float(np.sum(dot3(u, v)[w])) * dV
-    h1 = l2 + float(np.sum(grad_dot(u, v, g, mask)[w])) * dV
     lu = laplacian_neumann(u, g, mask)
     lv = lu if v is u else laplacian_neumann(v, g, mask)
+    h1 = l2 - float(np.sum(dot3(u, lv)[w])) * dV
     h2 = l2 + float(np.sum(dot3(lu, lv)[w])) * dV
     return {"l2": l2, "h1": h1, "h2": h2}
 

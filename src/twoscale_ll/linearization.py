@@ -20,7 +20,6 @@ from .grid import (
     cross3,
     dot3,
     grad_dot,
-    grad_sq,
     inner_products,
     laplacian_neumann,
     normalize_pointwise,
@@ -66,7 +65,7 @@ def linearized_apply(t: float, m_eq: np.ndarray, delta: np.ndarray,
     hde = demag_field(demag, m_eq, g, mask) + eval_h_ext(sched, t, g, mask)
     hd_delta = demag_field(demag, delta, g, mask)
     lap_delta = laplacian_neumann(delta, g, mask)
-    gsq_eq = grad_sq(m_eq, g, mask)
+    gsq_eq = grad_dot(m_eq, m_eq, g, mask)
     gdot = grad_dot(m_eq, delta, g, mask)
     h_T_eq = hde + laplacian_neumann(m_eq, g, mask)
     out = (alpha * gsq_eq[..., None] * delta
@@ -93,7 +92,7 @@ def remainder_apply(t: float, m_eq: np.ndarray, delta: np.ndarray,
     hd_delta = demag_field(demag, delta, g, mask)
     lap_delta = laplacian_neumann(delta, g, mask)
     gdot = grad_dot(m_eq, delta, g, mask)
-    gsq_d = grad_sq(delta, g, mask)
+    gsq_d = grad_dot(delta, delta, g, mask)
     out = (2.0 * alpha * gdot[..., None] * delta
            + alpha * gsq_d[..., None] * (m_eq + delta)
            + cross3(delta, lap_delta + hd_delta)

@@ -9,6 +9,7 @@ import numpy as np
 from .dynamics import RunRecord
 
 CSV_HEADER = "t,lambda,mx,my,mz,energy,residual,dist_h2"
+_WIDTH, _HEIGHT = 640, 420  # svg_line_chart size in pixels
 
 
 def _fmt(x: float) -> str:
@@ -33,8 +34,7 @@ def record_to_csv(rec: RunRecord) -> str:
 
 def svg_line_chart(series: list[tuple[str, np.ndarray, np.ndarray]],
                    log_y: bool = False, x_label: str = "x",
-                   y_label: str = "y", width: int = 640,
-                   height: int = 420) -> str:
+                   y_label: str = "y") -> str:
     """Standalone SVG with one polyline per series. Deterministic output:
     same data gives byte-identical files."""
     pad = 50
@@ -54,26 +54,26 @@ def svg_line_chart(series: list[tuple[str, np.ndarray, np.ndarray]],
         y_max = y_min + 1.0
 
     def sx(x):
-        return pad + (x - x_min) / (x_max - x_min) * (width - 2 * pad)
+        return pad + (x - x_min) / (x_max - x_min) * (_WIDTH - 2 * pad)
 
     def sy(y):
         yy = np.log10(y) if log_y else y
-        return height - pad - (yy - y_min) / (y_max - y_min) * (height - 2 * pad)
+        return _HEIGHT - pad - (yy - y_min) / (y_max - y_min) * (_HEIGHT - 2 * pad)
 
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
               "#8c564b"]
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
-        f'y2="{height - pad}" stroke="black"/>',
-        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<line x1="{pad}" y1="{_HEIGHT - pad}" x2="{_WIDTH - pad}" '
+        f'y2="{_HEIGHT - pad}" stroke="black"/>',
+        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{_HEIGHT - pad}" '
         f'stroke="black"/>',
-        f'<text x="{width // 2}" y="{height - 12}" font-size="12" '
+        f'<text x="{_WIDTH // 2}" y="{_HEIGHT - 12}" font-size="12" '
         f'text-anchor="middle">{x_label}</text>',
-        f'<text x="14" y="{height // 2}" font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 14 {height // 2})">{y_label}</text>',
+        f'<text x="14" y="{_HEIGHT // 2}" font-size="12" text-anchor="middle" '
+        f'transform="rotate(-90 14 {_HEIGHT // 2})">{y_label}</text>',
     ]
     for idx, (name, xs, ys) in enumerate(series):
         xs = np.asarray(xs, dtype=float)
@@ -86,7 +86,7 @@ def svg_line_chart(series: list[tuple[str, np.ndarray, np.ndarray]],
         color = colors[idx % len(colors)]
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1.5" points="{pts}"/>')
-        parts.append(f'<text x="{width - pad + 4}" y="{pad + 14 * idx + 10}" '
+        parts.append(f'<text x="{_WIDTH - pad + 4}" y="{pad + 14 * idx + 10}" '
                      f'font-size="11" fill="{color}">{name}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

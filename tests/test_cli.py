@@ -327,7 +327,9 @@ def test_evolve_rejects_negative_bump_radius(tmp_path, capsys):
     ("asymptotics", "relax_max_t = -1", "max_T must be >= 0"),
     ("dissipation-scan", "n_samples = 0", "n_samples must be >= 1"),
     ("hysteresis", "warmup_periods = -1", "n_warmup_periods must be >= 0"),
-], ids=["relax", "asymptotics", "dissipation-scan", "hysteresis"])
+    ("asymptotics", "threshold_factor = 0", "threshold_factor must be > 0"),
+], ids=["relax", "asymptotics", "dissipation-scan", "hysteresis",
+        "asymptotics-threshold"])
 def test_unrunnable_config_exit_one(tmp_path, capsys, command, extra,
                                     message):
     cfg = _write_cfg(tmp_path, MACROSPIN_CFG + f"\n[experiment]\n{extra}\n")

@@ -27,6 +27,7 @@ from twoscale_ll.grid import (
     constant_field,
     cross3,
     dot3,
+    grad_dot,
     laplacian_neumann,
     neumann_eigenvalues,
     norm_l2,
@@ -166,6 +167,32 @@ def test_energy_gradient_is_total_field(box12, demag12, static_field):
     h = total_field(0.0, m, g, mask, demag12, static_field)
     pairing = -float(np.sum(dot3(h, v)[mask.inside])) * mask.cell_volume
     assert dE == pytest.approx(pairing, rel=1e-6, abs=1e-8)
+
+
+def test_energy_is_the_three_term_sum(box12, demag12, static_field,
+                                     sphere_tensor):
+    # E read off the field equals 1/2 |grad m|^2 - 1/2 m.h_d - m.h_ext,
+    # summed with grad_dot, on unit and non-unit fields alike
+    ge = Grid3(12, 12, 12, 2.0 / 12, 1.6 / 12, 1.2 / 12)
+    g1 = Grid3(1, 1, 1)
+    domains = ((box12[0], box12[1], demag12),
+               (ge, DomainMask.ellipsoid(ge, EllipsoidSpec(1.0, 0.8, 0.6)),
+                FftDemag.for_grid(ge)),
+               (g1, DomainMask.full(g1), sphere_tensor))
+    cfg = SolverConfig(epsilon=1.0, alpha=1.0, T=1.0, dt=1e-3)
+    for g, mask, demag in domains:
+        rng = np.random.default_rng(4)
+        m_free = np.where(mask.inside[..., None],
+                          1.5 * rng.standard_normal(g.shape + (3,)), 0.0)
+        for m in (random_unit_field(g, mask, 3), m_free):
+            w, dV = mask.inside, mask.cell_volume
+            hd = demag_field(demag, m, g, mask)
+            he = eval_h_ext(static_field, 0.0, g, mask)
+            want = (0.5 * np.sum(grad_dot(m, m, g, mask)[w])
+                    - 0.5 * np.sum(dot3(m, hd)[w])
+                    - np.sum(dot3(m, he)[w])) * dV
+            got = energy(0.0, m, cfg, g, mask, demag, static_field)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), g.shape
 
 
 def test_energy_decay_identity_first_order(box12, demag12, static_field):

@@ -58,6 +58,15 @@ def test_asymptotics_plan_validation():
         AsymptoticsPlan((0.1,), sched, alpha=-1.0, T=1.0)
     with pytest.raises(ValueError, match="samples_per_run"):
         AsymptoticsPlan((0.1,), sched, alpha=1.0, T=1.0, samples_per_run=0)
+    # refused before the initial relaxation, not after it
+    for s in (0.0, 1.0, -0.2):
+        with pytest.raises(ValueError, match="perturbation"):
+            AsymptoticsPlan((0.1,), sched, alpha=1.0, T=1.0, perturbation=s)
+    # no distance falls within 0 times the plateau: tau would always be T
+    for f in (0.0, -1.0):
+        with pytest.raises(ValueError, match="threshold_factor"):
+            AsymptoticsPlan((0.1,), sched, alpha=1.0, T=1.0,
+                            threshold_factor=f)
 
 
 def test_asymptotics_rejects_a_wrong_analytic_reference():
