@@ -158,10 +158,10 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate(v: dict[str, dict[str, object]], errors: list[str]) -> None:
-    if v["material"]["epsilon"] <= 0:
-        errors.append("material.epsilon must be > 0")
-    if v["material"]["alpha"] <= 0:
-        errors.append("material.alpha must be > 0")
+    for sec, key in (("material", "epsilon"), ("material", "alpha"),
+                     ("experiment", "relax_tol")):
+        if v[sec][key] <= 0:
+            errors.append(f"{sec}.{key} must be > 0")
     ladder = v["material"]["epsilon_ladder"]
     if ladder is not None and (any(e <= 0 for e in ladder)
                                or any(np.diff(ladder) >= 0)):

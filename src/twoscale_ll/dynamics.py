@@ -57,19 +57,14 @@ class SolverConfig:
             raise ValueError("dt must be > 0")
 
 
-def _cfl_dt(epsilon: float, alpha: float, g: Grid3) -> float:
-    """Explicit diffusion-CFL step 0.2 eps h^2 / (6 alpha), finest h."""
-    h2 = min(h**2 for h, n in zip(g.spacings, g.shape) if n > 1)
-    return 0.2 * epsilon * h2 / (6.0 * alpha)
-
-
 def resolve_dt(cfg: SolverConfig, g: Grid3) -> float:
-    """Fixed dt if given, else the diffusion-CFL policy for explicit runs,
-    shortened so that it divides T when T > 0."""
+    """Fixed dt if given, else for explicit runs the diffusion-CFL step
+    0.2 eps h^2 / (6 alpha), finest h, shortened to divide T when T > 0."""
     if cfg.dt is not None:
         return cfg.dt
     if cfg.integrator == "projected-explicit" and not g.is_macrospin:
-        dt = _cfl_dt(cfg.epsilon, cfg.alpha, g)
+        h2 = min(h**2 for h, n in zip(g.spacings, g.shape) if n > 1)
+        dt = 0.2 * cfg.epsilon * h2 / (6.0 * cfg.alpha)
         return cfg.T / ceil(cfg.T / dt) if cfg.T > 0 else dt
     raise ValueError("dt must be set: there is no default step on a "
                      "one-cell grid or for semi-implicit-spectral")
@@ -152,12 +147,16 @@ def parabolic_rhs_F(t: float, m: np.ndarray, cfg: SolverConfig, g: Grid3,
 def _cosine_solve(rhs: np.ndarray, shift: float, alpha: float, g: Grid3,
                   mask: DomainMask) -> np.ndarray:
     """Solve (shift - alpha Lap) u = rhs in the Neumann cosine basis of the
-    box; ModeMismatchError on a masked domain."""
-    require_full_box(mask, "the semi-implicit-spectral integrator")
-    denom = shift + alpha * neumann_eigenvalues(g)
-    fr = scipy.fft.dctn(rhs, type=2, norm="ortho", axes=(0, 1, 2))
-    return scipy.fft.idctn(fr / denom[..., None], type=2, norm="ortho",
-                           axes=(0, 1, 2))
+    body's bounding box of cells, zero outside it: the exact inverse on the
+    full box and on one cell, an SPD preconditioner on a mask."""
+    box = mask.bounding_box
+    sub = rhs[box]
+    lam = neumann_eigenvalues(Grid3(*sub.shape[:3], *g.spacings))
+    fr = scipy.fft.dctn(sub, type=2, norm="ortho", axes=(0, 1, 2))
+    out = np.zeros_like(rhs)
+    out[box] = scipy.fft.idctn(fr / (shift + alpha * lam)[..., None], type=2,
+                               norm="ortho", axes=(0, 1, 2))
+    return out
 
 
 def step(t: float, m: np.ndarray, dt: float, cfg: SolverConfig, g: Grid3,
@@ -175,6 +174,7 @@ def step(t: float, m: np.ndarray, dt: float, cfg: SolverConfig, g: Grid3,
         out = m + dt * k2
     else:
         # (eps/dt - alpha Lap) m+ = (eps/dt) m + F(t, m)
+        require_full_box(mask, "the semi-implicit-spectral integrator")
         rhs = (cfg.epsilon / dt) * m \
             + parabolic_rhs_F(t, m, cfg, g, mask, demag, sched)
         out = _cosine_solve(rhs, cfg.epsilon / dt, cfg.alpha, g, mask)
@@ -263,24 +263,24 @@ def relax_to_equilibrium(m0: np.ndarray, t_frozen: float, tol: float,
 
     Equilibria solve m ^ h_T = 0, which does not involve the precession
     term, so the flow is dm/dtau = -alpha g with g = m ^ (m ^ h_T). A step
-    of size tau is one damped step m+ = m - P(alpha g), then renormalized.
-    The domain chooses P and the first step: on the full box the cosine
-    solve P = (1/tau - alpha Lap)^-1 from tau = 0.05 (P = tau on one cell,
-    where Lap = 0); on a mask P = tau from the explicit CFL step at eps = 1.
-    On unit fields the full-box step is the exchange-implicit step
-    (1/tau - alpha Lap) m+ = m/tau - alpha (Lap m + g), where
-    -alpha (Lap m + g) is the damping part of F. The first step is also the
+    of size tau is one damped step m+ = m - P(alpha g), then renormalized,
+    with P = (1/tau - alpha Lap)^-1 the cosine solve on the body's bounding
+    box of cells. On the full box and unit fields this is the exchange-
+    implicit step (1/tau - alpha Lap) m+ = m/tau - alpha (Lap m + g), the
+    damping part of F on the right; on one cell P = tau. On a mask P only
+    preconditions: it is symmetric positive definite, so the fixed points
+    m ^ h_T = 0 do not depend on it. Every domain starts at tau = 0.05, the
     floor of the Barzilai-Borwein (BB2) steps tau = (s.y) / (alpha y.y)
     that follow (s, y: the changes of m and g). BB2 steps may raise the
     residual for a while by design; a rise after a step at the floor means
     the floor is too large, so it is halved. A stall without a rise leaves
     the floor in place, so a first step near the stability limit
     2 / (alpha lambda) of the stiffest damping mode lambda may use up the
-    budget of ceil(max_T / first step) steps unconverged.
+    budget of ceil(max_T / 0.05) steps unconverged.
     """
     if max_T < 0:
         raise ValueError(f"max_T must be >= 0, got {max_T}")
-    tau = floor = 0.05 if mask.is_full_box else _cfl_dt(1.0, alpha, g)
+    tau = floor = 0.05
     n_steps = ceil(max_T / tau)
     m = m0
     prev = None  # (m, m ^ (m ^ h_T), residual) before the last step
@@ -301,10 +301,7 @@ def relax_to_equilibrium(m0: np.ndarray, t_frozen: float, tol: float,
             tau = max(floor, sy / (alpha * float(np.sum(y * y)))) \
                 if sy > 0 else floor
         prev = (m, grad, res)
-        if mask.is_full_box:
-            out = m - _cosine_solve(alpha * grad, 1.0 / tau, alpha, g, mask)
-        else:
-            out = m - (tau * alpha) * grad
+        out = m - _cosine_solve(alpha * grad, 1.0 / tau, alpha, g, mask)
         if not np.all(np.isfinite(out)):
             raise BlowUpError(t_frozen)
         m = normalize_pointwise(out, mask)

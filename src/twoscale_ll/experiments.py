@@ -42,8 +42,9 @@ class AsymptoticsPlan:
     samples_per_run: int = 150
 
     def __post_init__(self):
-        if len(self.eps_ladder) == 0 or np.any(np.diff(self.eps_ladder) >= 0):
-            raise ValueError("eps ladder must be non-empty and decreasing")
+        if len(self.eps_ladder) == 0 or np.any(np.diff(self.eps_ladder) >= 0) \
+                or self.eps_ladder[0] >= 1:
+            raise ValueError("eps ladder must be non-empty, decreasing, < 1")
         if self.samples_per_run < 1:
             raise ValueError("samples_per_run must be >= 1")
         if not 0 < self.perturbation < 1:

@@ -9,7 +9,7 @@ cell centers. Values on cells outside the domain mask are kept at zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -118,6 +118,12 @@ class DomainMask:
         """Whether the body fills the grid box, the one domain on which the
         cosine modes diagonalize laplacian_neumann."""
         return bool(np.all(self.inside))
+
+    @cached_property
+    def bounding_box(self) -> tuple[slice, slice, slice]:
+        """Index slices of the smallest box of cells that holds the body."""
+        return tuple(slice(int(i.min()), int(i.max()) + 1)
+                     for i in np.nonzero(self.inside))
 
     @staticmethod
     def full(g: Grid3) -> "DomainMask":

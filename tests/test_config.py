@@ -139,6 +139,15 @@ def test_ladder_must_decrease():
         parse_config("[material]\nepsilon_ladder = 0.1, 0.2\n")
 
 
+def test_relax_tol_must_be_positive():
+    # no residual falls below a tolerance <= 0: the relaxation would use up
+    # its budget and report converged = False
+    for tol in ("0.0", "-1.0"):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"[experiment]\nrelax_tol = {tol}\n")
+        assert "experiment.relax_tol must be > 0" in exc.value.errors
+
+
 def test_bump_envelope_requires_radius():
     with pytest.raises(ConfigError):
         parse_config("[field]\nenvelope = bump\n")

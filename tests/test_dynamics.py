@@ -391,9 +391,9 @@ def test_relax_to_equilibrium_one_step_is_the_semi_implicit_step(
 
 
 def test_relax_to_equilibrium_on_ellipsoid_mask():
-    # masked domains relax with the plain damping step P = tau from the
-    # explicit CFL step at eps = 1; the field stays unit inside and zero
-    # outside
+    # masked domains take the box's step: P is the cosine solve on the
+    # body's bounding box, from tau = 0.05; the field stays unit inside and
+    # zero outside
     g = Grid3(12, 12, 12, 2.0 / 12, 1.6 / 12, 1.2 / 12)
     mask = DomainMask.ellipsoid(g, EllipsoidSpec(1.0, 0.8, 0.6))
     demag = FftDemag.for_grid(g)
@@ -406,6 +406,57 @@ def test_relax_to_equilibrium_on_ellipsoid_mask():
     norms = np.sqrt(dot3(m_eq, m_eq))
     assert np.max(np.abs(norms[mask.inside] - 1.0)) <= 1e-12
     assert np.all(norms[~mask.inside] == 0.0)
+
+
+def _count_field_evaluations(monkeypatch) -> list[int]:
+    """Count the calls of dynamics.total_field; the relaxation makes one
+    per iteration."""
+    import twoscale_ll.dynamics as dynamics
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return total_field(*args)
+
+    monkeypatch.setattr(dynamics, "total_field", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, side", [(12, None), (16, 3.0)])
+def test_masked_relaxation_is_preconditioned_on_the_bounding_box(
+        monkeypatch, n, side):
+    # the body fills its box (side None), or sits in a box of side 3 whose
+    # faces it does not touch: there the cosine solve runs on the body's
+    # bounding box, so its mirror faces lie close to the body's boundary
+    e = EllipsoidSpec(1.0, 0.8, 0.6)
+    h = (2.0 * e.a / n, 2.0 * e.b / n, 2.0 * e.c / n) if side is None \
+        else (side / n,) * 3
+    g = Grid3(n, n, n, *h)
+    mask = DomainMask.ellipsoid(g, e)
+    demag = FftDemag.for_grid(g)
+    sched = FieldSchedule.constant(0.7, (1.0, 0.3, 0.2))
+    u = np.array([1.0, 0.3, 0.2]) / np.linalg.norm([1.0, 0.3, 0.2])
+    calls = _count_field_evaluations(monkeypatch)
+    m_eq, converged = relax_to_equilibrium(constant_field(g, u, mask), 0.0,
+                                           1e-6, 50.0, 1.0, g, mask, demag,
+                                           sched)
+    assert converged
+    assert calls[0] <= 80
+    assert equilibrium_residual(0.0, m_eq, g, mask, demag, sched) < 1e-6
+
+
+def test_masked_relaxation_budget_is_max_T_over_first_step(monkeypatch):
+    # every domain starts at 0.05, so tol 0 (never met) runs exactly
+    # ceil(max_T / 0.05) steps and evaluates the field once more
+    g = Grid3(12, 12, 12, 2.0 / 12, 1.6 / 12, 1.2 / 12)
+    mask = DomainMask.ellipsoid(g, EllipsoidSpec(1.0, 0.8, 0.6))
+    sched = FieldSchedule.constant(0.7, (1.0, 0.3, 0.2))
+    calls = _count_field_evaluations(monkeypatch)
+    _, converged = relax_to_equilibrium(
+        constant_field(g, (1.0, 0.0, 0.0), mask), 0.0, 0.0, 0.5, 1.0, g,
+        mask, FftDemag.for_grid(g), sched)
+    assert not converged
+    assert calls[0] == 11
 
 
 def test_relax_to_equilibrium_safeguard_recovers_a_large_dt():

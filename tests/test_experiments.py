@@ -46,6 +46,10 @@ def test_asymptotics_plan_validation():
         AsymptoticsPlan((), sched, alpha=1.0, T=1.0)  # would run nothing
     with pytest.raises(ValueError):
         AsymptoticsPlan((0.1, -0.05), sched, alpha=1.0, T=1.0)
+    # tau / (eps ln(1/eps)) is nan at eps = 1 and negative above
+    for ladder in ((1.0,), (2.0, 0.1)):
+        with pytest.raises(ValueError, match="< 1"):
+            AsymptoticsPlan(ladder, sched, alpha=1.0, T=1.0)
     # dt = 0.02 * 0.03 does not divide T: refused before any rung runs
     with pytest.raises(ValueError, match="eps = 0.03: dt = .* T = 1.0"):
         AsymptoticsPlan((0.1, 0.03), sched, alpha=1.0, T=1.0)
@@ -136,9 +140,8 @@ def test_asymptotics_reports_reference_convergence():
 
 
 def test_asymptotics_on_ellipsoid_mask_converges():
-    # a masked study relaxes with the plain step from the explicit CFL
-    # step; from a fixed first step of 0.05 its initial relaxation ran out
-    # of budget at 1e-6
+    # a masked study relaxes like the box, with the cosine solve on the
+    # body's bounding box from 0.05
     g = Grid3(12, 12, 12, 2.0 / 12, 1.6 / 12, 1.2 / 12)
     mask = DomainMask.ellipsoid(g, EllipsoidSpec(1.0, 0.8, 0.6))
     plan = AsymptoticsPlan(
