@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
+import scipy  # scipy.integrate loads on first use, in run_hysteresis only
 
 from .demag import DemagModel, TensorDemag, depolarization_tensor
 from .dynamics import (

@@ -47,6 +47,8 @@ class Grid3:
             raise ValueError("cell counts must be >= 1")
         if min(self.hx, self.hy, self.hz) <= 0:
             raise ValueError("cell spacings must be > 0")
+        # a tuple even when given an array, so a grid can key a cache
+        object.__setattr__(self, "origin", tuple(map(float, self.origin)))
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -104,6 +106,9 @@ class DomainMask:
     cell_volume: float
 
     def __post_init__(self):
+        # a read-only copy, so the cached facts below cannot go stale
+        object.__setattr__(self, "inside", np.array(self.inside, dtype=bool))
+        self.inside.flags.writeable = False
         if not np.any(self.inside):
             raise ValueError("mask must contain at least one cell")
         if self.cell_volume <= 0:
@@ -113,11 +118,18 @@ class DomainMask:
     def volume(self) -> float:
         return float(np.count_nonzero(self.inside)) * self.cell_volume
 
-    @property
+    @cached_property
     def is_full_box(self) -> bool:
         """Whether the body fills the grid box, the one domain on which the
         cosine modes diagonalize laplacian_neumann."""
         return bool(np.all(self.inside))
+
+    @cached_property
+    def face_weights(self) -> dict[int, np.ndarray]:
+        """Per axis, whether each interior face joins two body cells, shaped
+        to scale a vector field; the stencil skips them on the full box."""
+        return {axis: (self.inside[lo] & self.inside[hi])[..., None]
+                for axis, lo, hi, _ in _faces(Grid3(*self.inside.shape))}
 
     @cached_property
     def bounding_box(self) -> tuple[slice, slice, slice]:
@@ -155,19 +167,22 @@ def constant_field(g: Grid3, v, mask: DomainMask | None = None) -> np.ndarray:
 
 
 def apply_mask(u: np.ndarray, mask: DomainMask) -> np.ndarray:
+    """u, zeroed outside the body; on the full box u itself, not a copy."""
+    if mask.is_full_box:
+        return u
     return np.where(mask.inside[..., None], u, 0.0)
 
 
 def _faces(g: Grid3):
-    """Yield (lo, hi, h) for every axis with more than one cell: lo and hi
-    index the two cells on either side of each interior face."""
+    """Yield (axis, lo, hi, h) for every axis with more than one cell: lo
+    and hi index the two cells on either side of each interior face."""
     for axis, (n, h) in enumerate(zip(g.shape, g.spacings)):
         if n > 1:
             pre = (slice(None),) * axis
-            yield pre + (slice(0, n - 1),), pre + (slice(1, n),), h
+            yield axis, pre + (slice(0, n - 1),), pre + (slice(1, n),), h
 
 
-def _face_flux(u: np.ndarray, lo: tuple, hi: tuple, h: float,
+def _face_flux(u: np.ndarray, axis: int, lo: tuple, hi: tuple, h: float,
                mask: DomainMask) -> np.ndarray:
     """(u[hi] - u[lo]) / h^2 on faces between two masked cells, zero on
     faces that touch an outside cell.
@@ -177,7 +192,8 @@ def _face_flux(u: np.ndarray, lo: tuple, hi: tuple, h: float,
     Neumann condition, and it keeps the stencil symmetric.
     """
     du = u[hi] - u[lo]
-    du *= (mask.inside[lo] & mask.inside[hi])[..., None]
+    if not mask.is_full_box:
+        du *= mask.face_weights[axis]
     du /= h**2
     return du
 
@@ -186,8 +202,8 @@ def laplacian_neumann(u: np.ndarray, g: Grid3, mask: DomainMask) -> np.ndarray:
     """7-point Laplacian with mirror ghost cells across the mask boundary."""
     _check_field(u, g)
     out = np.zeros_like(u)
-    for lo, hi, h in _faces(g):
-        q = _face_flux(u, lo, hi, h, mask)
+    for axis, lo, hi, h in _faces(g):
+        q = _face_flux(u, axis, lo, hi, h, mask)
         out[lo] += q
         out[hi] -= q
     return out
@@ -205,9 +221,9 @@ def grad_dot(u: np.ndarray, v: np.ndarray, g: Grid3, mask: DomainMask) -> np.nda
     _check_field(u, g)
     _check_field(v, g)
     out = np.zeros(g.shape)
-    for lo, hi, h in _faces(g):
-        qu = _face_flux(u, lo, hi, h, mask)
-        qv = qu if v is u else _face_flux(v, lo, hi, h, mask)
+    for axis, lo, hi, h in _faces(g):
+        qu = _face_flux(u, axis, lo, hi, h, mask)
+        qv = qu if v is u else _face_flux(v, axis, lo, hi, h, mask)
         # the fluxes are differences over h^2, so h^2/2 times their product
         # is half the one-sided pairing; each face feeds both of its cells
         c = 0.5 * h**2 * dot3(qu, qv)
@@ -282,13 +298,14 @@ def norm_l2(u: np.ndarray, g: Grid3, mask: DomainMask) -> float:
 def normalize_pointwise(u: np.ndarray, mask: DomainMask) -> np.ndarray:
     """Scale every masked cell to unit Euclidean norm."""
     norms = np.sqrt(dot3(u, u))
-    bad = mask.inside & (norms == 0.0)
-    if np.any(bad):
-        cell = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise DegenerateCellError(f"zero vector at masked cell {cell}")
-    safe = np.where(norms == 0.0, 1.0, norms)
-    out = u / safe[..., None]
-    return np.where(mask.inside[..., None], out, 0.0)
+    zero = norms == 0.0
+    if np.any(zero):
+        bad = mask.inside & zero
+        if np.any(bad):
+            cell = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise DegenerateCellError(f"zero vector at masked cell {cell}")
+        norms = np.where(zero, 1.0, norms)
+    return apply_mask(u / norms[..., None], mask)
 
 
 def mean_magnetization(u: np.ndarray, mask: DomainMask) -> np.ndarray:

@@ -4,6 +4,7 @@ rotating unit direction, optional smooth radial envelope."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,6 +76,8 @@ class BumpEnvelope:
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("bump radius must be > 0")
+        # a tuple even when given an array, so the envelope can key a cache
+        object.__setattr__(self, "center", tuple(map(float, self.center)))
 
     def values(self, g: Grid3) -> np.ndarray:
         x, y, z = g.cell_centers()
@@ -143,11 +146,19 @@ class FieldSchedule:
         return float((vs[i + 1] - vs[i]) / (ts[i + 1] - ts[i]))
 
 
+@lru_cache(maxsize=8)
+def _envelope_values(env, g: Grid3) -> np.ndarray:
+    """env.values(g), cached per envelope and grid and read-only."""
+    out = env.values(g)
+    out.flags.writeable = False
+    return out
+
+
 def eval_h_ext(s: FieldSchedule, t: float, g: Grid3,
                mask: DomainMask) -> np.ndarray:
     """Sample lambda(t) chi(x) u(t) at cell centers (zero outside mask)."""
     lam = s.amplitude(t)
-    chi = s.envelope.values(g)
+    chi = _envelope_values(s.envelope, g)
     u = s.direction.at(t)
     return apply_mask(lam * chi[..., None] * u, mask)
 
@@ -157,7 +168,7 @@ def d_dt_h_ext(s: FieldSchedule, t: float, g: Grid3,
     """Exact time derivative of the schedule (right derivative at knots)."""
     lam = s.amplitude(t)
     dlam = s.amplitude_rate(t)
-    chi = s.envelope.values(g)
+    chi = _envelope_values(s.envelope, g)
     u = s.direction.at(t)
     du = s.direction.rate(t)
     return apply_mask(chi[..., None] * (dlam * u + lam * du), mask)

@@ -1,5 +1,7 @@
 """Grid, Neumann Laplacian, discrete gradients and inner products."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,18 @@ def test_mask_requires_cells():
     g = Grid3(4, 4, 4, 0.1, 0.1, 0.1)
     with pytest.raises(ValueError):
         DomainMask(np.zeros(g.shape, dtype=bool), g.cell_volume)
+
+
+def test_mask_inside_is_a_read_only_copy():
+    g = Grid3(4, 3, 2)
+    inside = np.ones(g.shape, dtype=int)
+    mask = DomainMask(inside, g.cell_volume)
+    assert mask.inside.dtype == bool and not np.shares_memory(mask.inside,
+                                                              inside)
+    with pytest.raises(ValueError):
+        mask.inside[0, 0, 0] = False
+    inside[0, 0, 0] = 0
+    assert mask.is_full_box and mask.face_weights[0].all()
 
 
 def test_laplacian_of_constant_is_zero():
@@ -138,6 +152,27 @@ def test_green_identity_symmetric():
         assert ip["h1"] == pytest.approx(h1, rel=1e-12), name
 
 
+def test_laplacian_matches_face_by_face_reference():
+    # every interior face, weighted by whether it joins two body cells,
+    # sends its flux (u[j] - u[i]) w / h^2 to i and takes it from j; per
+    # axis all i-sides first, in the order laplacian_neumann adds them
+    for name, g, mask in _stencil_domains(Grid3(7, 6, 5, 0.11, 0.13, 0.17)):
+        u = np.random.default_rng(4).standard_normal(g.shape + (3,))
+        ref = np.zeros_like(u)
+        for axis, (n, h) in enumerate(zip(g.shape, g.spacings)):
+            e = np.eye(3, dtype=int)[axis]
+            faces = [(i, tuple(np.add(i, e))) for i in np.ndindex(g.shape)
+                     if i[axis] < n - 1]
+            q = {i: (u[j] - u[i]) * float(mask.inside[i] and mask.inside[j])
+                 / h**2 for i, j in faces}
+            for i, j in faces:
+                ref[i] += q[i]
+            for i, j in faces:
+                ref[j] -= q[i]
+        lap = laplacian_neumann(u, g, mask)
+        assert lap.tobytes() == ref.tobytes(), name
+
+
 def test_grad_sq_matches_minus_m_dot_laplacian_on_unit_fields():
     for name, g, mask in _stencil_domains(Grid3(9, 9, 9, 0.1, 0.1, 0.1)):
         m = random_unit_field(g, mask, 5)
@@ -205,6 +240,28 @@ def test_normalize_pointwise_degenerate_cell():
     u[1, 0, 0] = 0.0
     with pytest.raises(DegenerateCellError):
         normalize_pointwise(u, mask)
+
+
+def test_normalize_pointwise_matches_where_formula_on_stencil_domains():
+    for name, g, mask in _stencil_domains(Grid3(7, 6, 5, 0.11, 0.13, 0.17)):
+        u = np.random.default_rng(6).standard_normal(g.shape + (3,))
+        # zero outside the body, but for one cell (if there is one)
+        outside = np.argwhere(~mask.inside)
+        u[~mask.inside] = 0.0
+        if len(outside):
+            u[tuple(outside[0])] = (1.0, 2.0, 3.0)
+        # the formula with one where() for the safe norms and one for the
+        # mask, kept as the oracle
+        norms = np.sqrt(dot3(u, u))
+        safe = np.where(norms == 0.0, 1.0, norms)
+        want = np.where(mask.inside[..., None], u / safe[..., None], 0.0)
+        got = normalize_pointwise(u, mask)
+        assert got.tobytes() == want.tobytes(), name
+        assert np.all(got[~mask.inside] == 0.0), name
+        cell = tuple(int(i) for i in np.argwhere(mask.inside)[-1])
+        u[cell] = 0.0
+        with pytest.raises(DegenerateCellError, match=re.escape(str(cell))):
+            normalize_pointwise(u, mask)
 
 
 def test_mean_magnetization_examples():

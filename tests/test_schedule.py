@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from twoscale_ll.grid import DomainMask, Grid3
+from twoscale_ll.grid import DomainMask, EllipsoidSpec, Grid3
 from twoscale_ll.schedule import (
+    _envelope_values,
     BumpEnvelope,
     ConstantEnvelope,
     FieldSchedule,
@@ -109,3 +110,33 @@ def test_d_dt_h_ext_matches_finite_difference():
     fd = (eval_h_ext(s, t + eps, g, mask)
           - eval_h_ext(s, t - eps, g, mask)) / (2.0 * eps)
     assert np.allclose(fd, d_dt_h_ext(s, t, g, mask), atol=1e-6)
+
+
+def test_envelope_values_cached_read_only_and_results_fresh():
+    # list center and array origin: the cache key must still hash
+    g = Grid3(8, 8, 8, 0.25, 0.25, 0.25, origin=np.array([-1.0, -1.0, -1.0]))
+    env = BumpEnvelope([0.1, 0.0, -0.1], 0.8)
+    s = FieldSchedule(np.array([[0.0, 0.2], [5.0, 1.2]]),
+                      RotatingDirection((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 0.3),
+                      env)
+    t = 1.3
+    chi = env.values(g)[..., None]
+    lam, dlam = s.amplitude(t), s.amplitude_rate(t)
+    u, du = s.direction.at(t), s.direction.rate(t)
+    for mask in (DomainMask.full(g),
+                 DomainMask.ellipsoid(g, EllipsoidSpec(1.0, 0.8, 0.6))):
+        w = mask.inside[..., None]
+        for got, want in (
+                (eval_h_ext(s, t, g, mask), np.where(w, lam * chi * u, 0.0)),
+                (d_dt_h_ext(s, t, g, mask),
+                 np.where(w, chi * (dlam * u + lam * du), 0.0))):
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.writeable
+            got[...] = 7.0  # a caller may scale or overwrite its result
+    cached = _envelope_values(env, g)
+    assert _envelope_values(BumpEnvelope((0.1, 0.0, -0.1), 0.8),
+                            Grid3(8, 8, 8, 0.25, 0.25, 0.25,
+                                  origin=(-1.0, -1.0, -1.0))) is cached
+    assert np.array_equal(cached, env.values(g))
+    with pytest.raises(ValueError):
+        cached[0, 0, 0] = 1.0
