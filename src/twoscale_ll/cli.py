@@ -145,7 +145,6 @@ def cmd_asymptotics(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
         eps_ladder=tuple(ladder), sched=sched,
         alpha=solver.alpha, T=solver.T,
         perturbation=cfg.get("experiment", "perturbation"),
-        threshold_factor=cfg.get("experiment", "threshold_factor"),
         seed=seed,
         integrator="projected-explicit" if g.is_macrospin
         else solver.integrator,
@@ -177,9 +176,7 @@ def cmd_hysteresis(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
         epsilon=cfg.get("material", "epsilon"),
         alpha=cfg.get("material", "alpha"),
         dt=cfg.get("solver", "dt") or HysteresisPlan.dt,  # unset or > 0
-        field_tilt=cfg.get("experiment", "field_tilt"),
         tensor_resolution=cfg.get("experiment", "tensor_resolution"),
-        n_warmup_periods=cfg.get("experiment", "warmup_periods"),
     )
     result = run_hysteresis(plan)
     _write(os.path.join(out, "hysteresis_loop.csv"), table_to_csv({

@@ -83,16 +83,13 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "sample_every": ("int", 1),
     },
     "experiment": {
-        "threshold_factor": ("float", 2.0),
         "perturbation": ("float", 0.2),
         "n_samples": ("int", 200),
         "s": ("float", 0.01),
         "lambda_grid": ("floats", (0.0, 5.0, 10.0, 20.0, 40.0)),
         "lam_max": ("float", 0.6),
         "period": ("float", 20.0),
-        "field_tilt": ("float", 3e-4),
         "tensor_resolution": ("int", 32),
-        "warmup_periods": ("int", 1),
         "relax_tol": ("float", 1e-8),
         "relax_max_t": ("float", 50.0),
     },

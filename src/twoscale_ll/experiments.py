@@ -22,6 +22,13 @@ from .grid import DomainMask, EllipsoidSpec, Grid3, constant_field
 from .linearization import sample_admissible_perturbation
 from .schedule import FieldSchedule
 
+# tau: d(t) within twice its late plateau, clear of that plateau's drift
+_LAYER_EXIT_FACTOR = 2.0
+# radians off the easy axis; small enough to move switching by under 1%
+_FIELD_TILT = 3e-4
+# one unmeasured sweep period brings the state onto the loop
+_WARMUP_PERIODS = 1
+
 
 @dataclass(frozen=True)
 class AsymptoticsPlan:
@@ -32,7 +39,6 @@ class AsymptoticsPlan:
     alpha: float
     T: float
     perturbation: float = 0.2
-    threshold_factor: float = 2.0
     seed: int = 0
     dt_over_eps: float = 0.02       # dt = dt_over_eps * eps
     integrator: str = "projected-explicit"
@@ -49,8 +55,6 @@ class AsymptoticsPlan:
             raise ValueError("samples_per_run must be >= 1")
         if not 0 < self.perturbation < 1:
             raise ValueError("perturbation must be in (0, 1)")
-        if self.threshold_factor <= 0:
-            raise ValueError("threshold_factor must be > 0")
         for e in self.eps_ladder:
             _rung(self, e)
 
@@ -134,7 +138,7 @@ def run_asymptotics(plan: AsymptoticsPlan, g: Grid3, mask: DomainMask,
         rec, _ = integrate(m0, cfg, g, mask, demag, plan.sched,
                            sample_every=sample_every, reference=ref)
         records[eps] = rec
-        tau = detect_layer_exit(rec.times, rec.dist_h2, plan.threshold_factor)
+        tau = detect_layer_exit(rec.times, rec.dist_h2, _LAYER_EXIT_FACTOR)
         after = rec.times >= tau
         sup_d = float(np.max(rec.dist_h2[after]))
         summary.append({
@@ -155,7 +159,7 @@ class HysteresisPlan:
 
     The sweep must be adiabatic for the switching field to approach the
     static threshold: the dynamic overshoot past the fold scales like
-    sqrt(eps * sweep_rate * ln(1/field_tilt) / alpha), so eps * lam_max /
+    sqrt(eps * sweep_rate * ln(1/_FIELD_TILT) / alpha), so eps * lam_max /
     period controls the accuracy. The defaults keep the overshoot plus the
     tilt correction under a percent of the threshold.
     """
@@ -166,17 +170,13 @@ class HysteresisPlan:
     epsilon: float = 1e-3
     alpha: float = 1.0
     dt: float = 0.05                # sampling interval of the recorded loop
-    field_tilt: float = 3e-4        # radians off the easy axis
     tensor_resolution: int = 32
-    n_warmup_periods: int = 1
 
     def __post_init__(self):
         if self.lam_max <= 0:
             raise ValueError("sweep must cross both signs of lambda")
         if min(self.period, self.epsilon, self.alpha, self.dt) <= 0:
             raise ValueError("period, epsilon, alpha and dt must be > 0")
-        if self.n_warmup_periods < 0:
-            raise ValueError("n_warmup_periods must be >= 0")
 
 
 def _triangular_knots(lam_max: float, period: float,
@@ -190,7 +190,7 @@ def _triangular_knots(lam_max: float, period: float,
 def run_hysteresis(plan: HysteresisPlan) -> dict:
     """Sweep the field and extract the loop, switching fields, and area.
 
-    The field direction is tilted off the easy axis by plan.field_tilt to
+    The field direction is tilted off the easy axis by _FIELD_TILT to
     break the exact symmetry that would otherwise pin the magnetization on
     the unstable branch forever. The macrospin ODE is integrated with an
     adaptive stiff solver (LSODA): steps are large on the adiabatic
@@ -205,9 +205,9 @@ def run_hysteresis(plan: HysteresisPlan) -> dict:
 
     # tilt within the (u, second-axis) plane
     v = evecs[:, 1]
-    u_field = u * np.cos(plan.field_tilt) + v * np.sin(plan.field_tilt)
+    u_field = u * np.cos(_FIELD_TILT) + v * np.sin(_FIELD_TILT)
 
-    n_periods = plan.n_warmup_periods + 1
+    n_periods = _WARMUP_PERIODS + 1
     knots_t, knots_v = _triangular_knots(plan.lam_max, plan.period,
                                          n_periods)
     eps, alpha = plan.epsilon, plan.alpha
@@ -231,7 +231,7 @@ def run_hysteresis(plan: HysteresisPlan) -> dict:
     m_path /= np.linalg.norm(m_path, axis=1, keepdims=True)
 
     m_dot_u = m_path @ u
-    t_meas = plan.n_warmup_periods * plan.period
+    t_meas = _WARMUP_PERIODS * plan.period
     meas = sol.t >= t_meas - 1e-12
     lam = np.interp(sol.t, knots_t, knots_v)[meas]
     mu = m_dot_u[meas]

@@ -43,12 +43,22 @@ def test_demag_selftest_exit_zero(tmp_path, capsys):
     assert "ok" in capsys.readouterr().out
 
 
-def test_renormalize_key_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("command, section, key, value", [
     # steps always renormalize; the old opt-out key is unknown
-    cfg = _write_cfg(tmp_path, "[solver]\nrenormalize = false\n")
-    rc = cli.main(["evolve", "--config", cfg, "--out", str(tmp_path)])
+    ("evolve", "solver", "renormalize", "false"),
+    # the layer-exit factor, field tilt and warm-up are module constants
+    ("asymptotics", "experiment", "threshold_factor", "0"),
+    ("hysteresis", "experiment", "field_tilt", "1.6"),
+    ("hysteresis", "experiment", "warmup_periods", "-1"),
+], ids=["solver.renormalize", "experiment.threshold_factor",
+        "experiment.field_tilt", "experiment.warmup_periods"])
+def test_renormalize_key_rejected(tmp_path, capsys, command, section, key,
+                                  value):
+    cfg = _write_cfg(tmp_path, f"[{section}]\n{key} = {value}\n")
+    rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
     assert rc == 1
-    assert "unknown key solver.renormalize" in capsys.readouterr().err
+    assert f"config error: unknown key {section}.{key}" in \
+        capsys.readouterr().err
 
 
 def test_spectral_selftest_exit_zero(tmp_path):
@@ -287,6 +297,53 @@ def test_unconverged_solves_warn(tmp_path, capsys, command):
     assert "warning:" in capsys.readouterr().err
 
 
+GRID_8_CFG = """
+[grid]
+nx = 8
+ny = 8
+nz = 8
+hx = 0.125
+hy = 0.125
+hz = 0.125
+
+[solver]
+t_final = 0.1
+
+[experiment]
+relax_tol = 1e-6
+"""
+
+
+def test_asymptotics_on_a_grid(tmp_path, capsys, monkeypatch):
+    # a grid runs the configured integrator against a relaxed reference
+    plans = []
+    run = cli.run_asymptotics
+
+    def spy(plan, g, mask, demag):
+        plans.append(plan)
+        return run(plan, g, mask, demag)
+    monkeypatch.setattr(cli, "run_asymptotics", spy)
+    cfg = _write_cfg(tmp_path, GRID_8_CFG)
+    rc = cli.main(["asymptotics", "--config", cfg, "--out", str(tmp_path),
+                   "--quiet"])
+    assert rc == 0
+    assert "warning" not in capsys.readouterr().err
+    assert plans[0].integrator == "semi-implicit-spectral"
+    assert plans[0].analytic_equilibrium is False
+    s = _summary(tmp_path)
+    assert np.allclose(s["eps"], [0.1, 0.05, 0.025, 0.0125])
+    assert np.all(np.diff(s["sup_dist_after_tau"]) < 0)
+
+
+def test_relax_then_plot_a_one_row_record(tmp_path):
+    # a relaxation record has one sample: the energy chart spans one t
+    assert cli.main(["relax", "--out", str(tmp_path), "--quiet"]) == 0
+    assert cli.main(["plot", "--out", str(tmp_path), "--quiet"]) == 0
+    svg = (tmp_path / "relax_energy.svg").read_text()
+    assert svg.count("<polyline") == 1
+    assert not (tmp_path / "dist_h2.svg").exists()
+
+
 def test_asymptotics_reads_relax_keys(tmp_path, monkeypatch):
     plans = []
 
@@ -326,10 +383,11 @@ def test_evolve_rejects_negative_bump_radius(tmp_path, capsys):
     ("relax", "relax_max_t = -1", "max_T must be >= 0"),
     ("asymptotics", "relax_max_t = -1", "max_T must be >= 0"),
     ("dissipation-scan", "n_samples = 0", "n_samples must be >= 1"),
-    ("hysteresis", "warmup_periods = -1", "n_warmup_periods must be >= 0"),
-    ("asymptotics", "threshold_factor = 0", "threshold_factor must be > 0"),
+    ("hysteresis", "period = 0",
+     "period, epsilon, alpha and dt must be > 0"),
+    ("asymptotics", "perturbation = 1.5", "perturbation must be in (0, 1)"),
 ], ids=["relax", "asymptotics", "dissipation-scan", "hysteresis",
-        "asymptotics-threshold"])
+        "asymptotics-perturbation"])
 def test_unrunnable_config_exit_one(tmp_path, capsys, command, extra,
                                     message):
     cfg = _write_cfg(tmp_path, MACROSPIN_CFG + f"\n[experiment]\n{extra}\n")

@@ -153,3 +153,23 @@ def test_bump_envelope_requires_radius():
         parse_config("[field]\nenvelope = bump\n")
     cfg = parse_config("[field]\nenvelope = bump\nbump_radius = 0.4\n")
     assert cfg.get("field", "bump_radius") == 0.4
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[solver]\ndt = 0\n", "solver.dt must be > 0"),
+    ("[solver]\nt_final = -1\n", "solver.t_final must be >= 0"),
+    ("[solver]\nintegrator = rk4\n",
+     "solver.integrator must be projected-explicit or "
+     "semi-implicit-spectral"),
+    ("[field]\nenvelope = gauss\n", "field.envelope must be constant or bump"),
+    ("[domain]\nshape = cube\n", "domain.shape must be box or ellipsoid"),
+    ("[grid]\nnx = 2\n[grid]\nny = 2\n", "duplicate section grid"),
+    ("nx = 2\n", "syntax error:"),
+    ("[field]\nknots = ,\n", "invalid value for field.knots: empty knot list"),
+], ids=["dt", "t_final", "integrator", "envelope", "shape",
+        "duplicate-section", "no-section", "empty-knots"])
+def test_each_error_branch_names_its_problem(text, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert len(exc.value.errors) == 1
+    assert exc.value.errors[0].startswith(message)

@@ -308,6 +308,17 @@ def test_relax_to_equilibrium_macrospin(macrospin, sphere_tensor,
     assert np.allclose(m_eq[0, 0, 0], [0.0, 0.0, 1.0], atol=1e-5)
 
 
+def test_relax_to_equilibrium_non_finite_start_blows_up(macrospin,
+                                                       sphere_tensor,
+                                                       static_field):
+    g, mask = macrospin
+    m0 = np.full(g.shape + (3,), np.nan)
+    with pytest.raises(BlowUpError) as exc:
+        relax_to_equilibrium(m0, 1.5, 1e-10, 50.0, 1.0, g, mask,
+                             sphere_tensor, static_field)
+    assert exc.value.time == 1.5
+
+
 def test_relax_to_equilibrium_freezes_a_moving_field(macrospin,
                                                      sphere_tensor):
     # rotating field, relaxed at t = 0.3: the fixed point must be the

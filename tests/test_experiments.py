@@ -66,11 +66,6 @@ def test_asymptotics_plan_validation():
     for s in (0.0, 1.0, -0.2):
         with pytest.raises(ValueError, match="perturbation"):
             AsymptoticsPlan((0.1,), sched, alpha=1.0, T=1.0, perturbation=s)
-    # no distance falls within 0 times the plateau: tau would always be T
-    for f in (0.0, -1.0):
-        with pytest.raises(ValueError, match="threshold_factor"):
-            AsymptoticsPlan((0.1,), sched, alpha=1.0, T=1.0,
-                            threshold_factor=f)
 
 
 def test_asymptotics_rejects_a_wrong_analytic_reference():
@@ -162,8 +157,15 @@ def test_hysteresis_plan_validation():
                 {"dt": 0.0}):
         with pytest.raises(ValueError, match="must be > 0"):
             HysteresisPlan(e, lam_max=0.6, **bad)
-    with pytest.raises(ValueError, match="n_warmup_periods must be >= 0"):
-        HysteresisPlan(e, lam_max=0.6, n_warmup_periods=-1)
+
+
+def test_hysteresis_refuses_a_branch_of_too_few_samples():
+    # dt = 0.4 samples each half period of 0.5 at most twice
+    plan = HysteresisPlan(EllipsoidSpec(2.0, 1.0, 1.0), lam_max=0.6,
+                          period=1.0, dt=0.4, epsilon=0.01)
+    with pytest.raises(ValueError, match="branch too short to locate "
+                                         "switching"):
+        run_hysteresis(plan)
 
 
 def test_triangular_schedule_shape():

@@ -66,6 +66,8 @@ def test_mask_requires_cells():
     g = Grid3(4, 4, 4, 0.1, 0.1, 0.1)
     with pytest.raises(ValueError):
         DomainMask(np.zeros(g.shape, dtype=bool), g.cell_volume)
+    with pytest.raises(ValueError, match="cell volume must be > 0"):
+        DomainMask(np.ones(g.shape, dtype=bool), 0.0)
 
 
 def test_mask_inside_is_a_read_only_copy():

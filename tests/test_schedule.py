@@ -44,6 +44,17 @@ def test_amplitude_rate_right_sided():
     assert s.amplitude_rate(4.0) == pytest.approx(-1.5)  # clamped last piece
 
 
+def test_one_knot_schedule_has_zero_rate():
+    # a single knot is a constant amplitude defined at one instant
+    g = Grid3(2, 2, 2)
+    mask = DomainMask.full(g)
+    s = FieldSchedule(np.array([[0.5, 2.0]]))
+    assert s.amplitude(0.5) == 2.0
+    assert s.amplitude_rate(0.5) == 0.0
+    dh = d_dt_h_ext(s, 0.5, g, mask)
+    assert dh.shape == g.shape + (3,) and not dh.any()
+
+
 def test_constant_schedule_helper():
     s = FieldSchedule.constant(0.4, (0.0, 1.0, 0.0))
     assert s.amplitude(0.0) == 0.4
