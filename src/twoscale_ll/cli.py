@@ -95,7 +95,8 @@ def _build(cfg: RunConfig):
     else:
         envelope = ConstantEnvelope()
     sched = FieldSchedule(np.asarray(f["knots"]), direction, envelope)
-    solver = SolverConfig(epsilon=d["material"]["epsilon"],
+    eps = d["material"]["epsilon"]  # unset: 0.1 (hysteresis: the plan's)
+    solver = SolverConfig(epsilon=0.1 if eps is None else eps,
                           alpha=d["material"]["alpha"], T=s["t_final"],
                           integrator=s["integrator"], dt=s["dt"])
     return g, mask, demag, sched, solver
@@ -139,8 +140,7 @@ def cmd_asymptotics(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
     g, mask, demag, sched, solver = _build(cfg)
     ladder = cfg.get("material", "epsilon_ladder")
     if ladder is None:
-        eps = cfg.get("material", "epsilon")
-        ladder = tuple(eps * 0.5**i for i in range(4))
+        ladder = tuple(solver.epsilon * 0.5**i for i in range(4))
     plan = AsymptoticsPlan(
         eps_ladder=tuple(ladder), sched=sched,
         alpha=solver.alpha, T=solver.T,
@@ -169,15 +169,16 @@ def cmd_asymptotics(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
 
 
 def cmd_hysteresis(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
+    # an unset key takes the plan's default, which makes the sweep adiabatic
+    plan_keys = {"period": cfg.get("experiment", "period"),
+                 "epsilon": cfg.get("material", "epsilon"),
+                 "dt": cfg.get("solver", "dt")}
     plan = HysteresisPlan(
         ellipsoid=_tensor_shape(cfg),
         lam_max=cfg.get("experiment", "lam_max"),
-        period=cfg.get("experiment", "period"),
-        epsilon=cfg.get("material", "epsilon"),
         alpha=cfg.get("material", "alpha"),
-        dt=cfg.get("solver", "dt") or HysteresisPlan.dt,  # unset or > 0
         tensor_resolution=cfg.get("experiment", "tensor_resolution"),
-    )
+        **{k: v for k, v in plan_keys.items() if v is not None})
     result = run_hysteresis(plan)
     _write(os.path.join(out, "hysteresis_loop.csv"), table_to_csv({
         "lambda": result["lam"], "m_dot_u": result["m_dot_u"]}), quiet)

@@ -64,7 +64,7 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     },
     "material": {
         "alpha": ("float", 1.0),
-        "epsilon": ("float", 0.1),
+        "epsilon": ("float", None),
         "epsilon_ladder": ("floats", None),
     },
     "field": {
@@ -88,7 +88,7 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "s": ("float", 0.01),
         "lambda_grid": ("floats", (0.0, 5.0, 10.0, 20.0, 40.0)),
         "lam_max": ("float", 0.6),
-        "period": ("float", 20.0),
+        "period": ("float", None),
         "tensor_resolution": ("int", 32),
         "relax_tol": ("float", 1e-8),
         "relax_max_t": ("float", 50.0),
@@ -157,7 +157,7 @@ def parse_config(text: str) -> RunConfig:
 def _validate(v: dict[str, dict[str, object]], errors: list[str]) -> None:
     for sec, key in (("material", "epsilon"), ("material", "alpha"),
                      ("experiment", "relax_tol")):
-        if v[sec][key] <= 0:
+        if v[sec][key] is not None and v[sec][key] <= 0:
             errors.append(f"{sec}.{key} must be > 0")
     ladder = v["material"]["epsilon_ladder"]
     if ladder is not None and (any(e <= 0 for e in ladder)

@@ -56,7 +56,10 @@ class ConstantEquilibrium:
 def linearized_apply(t: float, m_eq: np.ndarray, delta: np.ndarray,
                      alpha: float, g: Grid3, mask: DomainMask,
                      demag: DemagModel, sched: FieldSchedule) -> np.ndarray:
-    """Linear part L(t, m_eq) delta of F(t, m_eq + delta) + alpha*Lap(delta).
+    """Linear part L(t, m_eq) delta of F(t, m_eq + delta) alone.
+
+    The flow's full linearization is alpha*Lap(delta) + L delta: the two
+    agree on one cell, where Lap vanishes, but not on a grid.
 
     Seven terms: the two exchange-energy couplings, the torque of delta
     against h_T(m_eq), the torque of m_eq against (Lap + h_d)(delta), and

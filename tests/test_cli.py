@@ -1,5 +1,6 @@
 """End-to-end command-line runs against temporary config files."""
 
+import glob
 import os
 
 import numpy as np
@@ -201,6 +202,18 @@ epsilon = 0.001
     assert (tmp_path / "hysteresis_loop.svg").read_text().startswith("<svg")
 
 
+def test_hysteresis_without_config_is_adiabatic(tmp_path):
+    # unset epsilon and period take HysteresisPlan's defaults: the sphere's
+    # loop all but closes, at its predicted switching field 0
+    rc = cli.main(["hysteresis", "--out", str(tmp_path), "--quiet"])
+    assert rc == 0
+    s = _summary(tmp_path, "hysteresis_summary.csv")
+    assert s["switching_predicted"] == [0.0]
+    assert abs(s["switching_up"][0]) < 0.05
+    assert abs(s["switching_down"][0]) < 0.05
+    assert s["loop_area"][0] < 0.1
+
+
 def test_evolve_rejects_spectral_solve_on_ellipsoid(tmp_path, capsys):
     # the default integrator solves in the cosine basis of the full box
     cfg = _write_cfg(tmp_path, ELLIPSOID_8_CFG
@@ -237,8 +250,8 @@ def test_blow_up_exit_two(tmp_path, capsys, monkeypatch):
     assert "blow-up" in capsys.readouterr().err
 
 
-def _summary(tmp_path):
-    lines = (tmp_path / "asymptotics_summary.csv").read_text().splitlines()
+def _summary(tmp_path, name="asymptotics_summary.csv"):
+    lines = (tmp_path / name).read_text().splitlines()
     names = lines[0].split(",")
     rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
     return {name: np.array(col) for name, col in zip(names, zip(*rows))}
@@ -272,6 +285,17 @@ c = 1.0
 [experiment]
 tensor_resolution = 16
 """
+
+
+def test_asymptotics_ladder_without_epsilon(tmp_path):
+    # an unset material.epsilon is 0.1 for the grid commands
+    text = MACROSPIN_CFG.replace("epsilon = 0.1\n", "")
+    assert parse_config(text).get("material", "epsilon") is None
+    cfg = _write_cfg(tmp_path, text)
+    rc = cli.main(["asymptotics", "--config", cfg, "--out", str(tmp_path),
+                   "--quiet"])
+    assert rc == 0
+    assert np.allclose(_summary(tmp_path)["eps"], [0.1, 0.05, 0.025, 0.0125])
 
 
 def test_asymptotics_one_cell_ellipsoid_relaxes_reference(tmp_path):
@@ -431,3 +455,14 @@ t_final = 0.5
     assert cli.main(["plot", "--out", str(tmp_path), "--quiet"]) == 0
     svg = (tmp_path / "dist_h2.svg").read_text()
     assert svg.count("<polyline") == 4
+
+
+def test_demo_configs_parse_and_name_a_command():
+    # demos/<command>/<name>.ini: the directory names the tsll subcommand
+    demos = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
+    paths = sorted(glob.glob(os.path.join(demos, "*", "*.ini")))
+    assert paths
+    for path in paths:
+        with open(path) as f:
+            parse_config(f.read())
+        assert os.path.basename(os.path.dirname(path)) in cli._COMMANDS

@@ -54,14 +54,14 @@ def test_parse_good_config():
     assert cfg.get("field", "direction") == (0.0, 0.0, 1.0)
     assert cfg.get("solver", "integrator") == "projected-explicit"
     # unset sections take schema defaults
-    assert cfg.get("experiment", "period") == 20.0
+    assert cfg.get("experiment", "period") is None
     assert cfg.get("solver", "dt") is None
 
 
 def test_defaults_only():
     cfg = parse_config("")
     assert cfg.get("grid", "nx") == 1
-    assert cfg.get("material", "epsilon") == 0.1
+    assert cfg.get("material", "epsilon") is None
     assert cfg.get("domain", "shape") == "box"
 
 
