@@ -148,8 +148,6 @@ def cmd_asymptotics(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
         seed=seed,
         integrator="projected-explicit" if g.is_macrospin
         else solver.integrator,
-        # m_eq(t) = u(t) holds only for the sphere tensor I/3
-        analytic_equilibrium=g.is_macrospin and _ellipsoid(cfg) is None,
         relax_tol=cfg.get("experiment", "relax_tol"),
         relax_max_T=cfg.get("experiment", "relax_max_t"),
     )
@@ -268,14 +266,17 @@ def _read_record_csv(path: str) -> dict[str, np.ndarray]:
 
 
 def cmd_plot(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
-    paths = sorted(glob.glob(os.path.join(out, "*.csv")))
-    series_d = []
-    for p in paths:
+    records = {}
+    for p in sorted(glob.glob(os.path.join(out, "*.csv"))):
         try:
-            cols = _read_record_csv(p)
+            records[os.path.splitext(os.path.basename(p))[0]] = \
+                _read_record_csv(p)
         except ValueError:
             continue
-        name = os.path.splitext(os.path.basename(p))[0]
+    if not records:
+        raise ValueError(f"no run-record CSV in {out}")
+    series_d = []
+    for name, cols in records.items():
         if np.any(np.isfinite(cols["dist_h2"])):
             series_d.append((name, cols["t"], cols["dist_h2"]))
         _write(os.path.join(out, f"{name}_energy.svg"), svg_line_chart(

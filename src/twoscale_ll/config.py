@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .experiments import AsymptoticsPlan, HysteresisPlan
+
 
 class ConfigError(ValueError):
     """Validation failure; .errors lists messages naming section.key."""
@@ -83,15 +85,15 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "sample_every": ("int", 1),
     },
     "experiment": {
-        "perturbation": ("float", 0.2),
+        "perturbation": ("float", AsymptoticsPlan.perturbation),
         "n_samples": ("int", 200),
         "s": ("float", 0.01),
         "lambda_grid": ("floats", (0.0, 5.0, 10.0, 20.0, 40.0)),
         "lam_max": ("float", 0.6),
         "period": ("float", None),
-        "tensor_resolution": ("int", 32),
-        "relax_tol": ("float", 1e-8),
-        "relax_max_t": ("float", 50.0),
+        "tensor_resolution": ("int", HysteresisPlan.tensor_resolution),
+        "relax_tol": ("float", AsymptoticsPlan.relax_tol),
+        "relax_max_t": ("float", AsymptoticsPlan.relax_max_T),
     },
 }
 

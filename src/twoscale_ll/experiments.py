@@ -42,8 +42,8 @@ class AsymptoticsPlan:
     seed: int = 0
     dt_over_eps: float = 0.02       # dt = dt_over_eps * eps
     integrator: str = "projected-explicit"
-    analytic_equilibrium: bool = True  # m_eq(t) = u(t); one cell, D = d I
-    relax_tol: float = 1e-9
+    analytic_equilibrium: bool = True  # u(t) where exact; False relaxes
+    relax_tol: float = 1e-8
     relax_max_T: float = 50.0
     samples_per_run: int = 150
 
@@ -55,6 +55,10 @@ class AsymptoticsPlan:
             raise ValueError("samples_per_run must be >= 1")
         if not 0 < self.perturbation < 1:
             raise ValueError("perturbation must be in (0, 1)")
+        if self.relax_tol <= 0:
+            raise ValueError("relax_tol must be > 0")
+        if self.relax_max_T < 0:
+            raise ValueError(f"max_T must be >= 0, got {self.relax_max_T}")
         for e in self.eps_ladder:
             _rung(self, e)
 
@@ -95,17 +99,15 @@ def run_asymptotics(plan: AsymptoticsPlan, g: Grid3, mask: DomainMask,
     applying one fixed admissible perturbation (shared across the ladder).
     Summary rows hold (eps, tau, tau/(eps ln(1/eps)), sup_{[tau,T]} d),
     whether the initial relaxation converged, and whether every reference
-    solve for that eps converged (always true in analytic mode).
+    solve for that eps converged (always true with the analytic reference).
 
-    The analytic reference u(t) is an equilibrium only on one cell with
-    an isotropic tensor demag; any other sample raises ValueError unless
-    plan.analytic_equilibrium is False.
+    The reference is u(t) where that is the equilibrium exactly, on one
+    cell with a tensor demag D = d I, unless plan.analytic_equilibrium is
+    False; everywhere else it is relaxed from the previous one.
     """
-    if plan.analytic_equilibrium and not (
-            g.is_macrospin and isinstance(demag, TensorDemag)
-            and np.array_equal(demag.D, demag.D[0][0] * np.eye(3))):
-        raise ValueError("analytic_equilibrium needs one cell with an "
-                         "isotropic tensor demag; set it to False")
+    analytic = plan.analytic_equilibrium and g.is_macrospin \
+        and isinstance(demag, TensorDemag) \
+        and np.array_equal(demag.D, demag.D[0][0] * np.eye(3))
     t0 = plan.sched.t_min
 
     def solve(t: float, guess: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -129,7 +131,7 @@ def run_asymptotics(plan: AsymptoticsPlan, g: Grid3, mask: DomainMask,
 
         def ref(t: float) -> np.ndarray:
             nonlocal m_ref
-            if plan.analytic_equilibrium:
+            if analytic:
                 return constant_field(g, plan.sched.direction.at(t), mask)
             m_ref, ok = solve(t, m_ref)
             ref_converged.append(ok)

@@ -189,7 +189,8 @@ def dissipation_scan(D: np.ndarray, u: np.ndarray, lambdas, alpha: float,
     for lam in lambdas:
         sched = FieldSchedule.constant(lam, u)
         for sign in (+1, -1):
-            ce = ConstantEquilibrium(u, d, float(lam), sign)
+            # +-u is an equilibrium only if u is an eigenvector of D
+            ConstantEquilibrium(u, d, float(lam), sign).check_eigenvector(D)
             m_eq = constant_field(g, sign * u, mask)
             worst = -np.inf
             for j in range(n_samples):

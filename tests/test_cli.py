@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import twoscale_ll.cli as cli
+from twoscale_ll import experiments
 from twoscale_ll.config import parse_config
 from twoscale_ll.dynamics import BlowUpError
 from twoscale_ll.reporting import CSV_HEADER
@@ -310,6 +311,30 @@ def test_asymptotics_one_cell_ellipsoid_relaxes_reference(tmp_path):
     assert sup_d[-1] < 1e-8
 
 
+def test_asymptotics_one_cell_sphere_takes_u(tmp_path, monkeypatch):
+    # a sphere's tensor is d I, so u(t) is its exact reference: the run
+    # solves only for the initial state and matches the box, whose tensor
+    # rule takes the unit sphere
+    calls = []
+    relax = experiments.relax_to_equilibrium
+
+    def spy(*args):
+        calls.append(args[1])
+        return relax(*args)
+    monkeypatch.setattr(experiments, "relax_to_equilibrium", spy)
+    sphere = ONE_CELL_ELLIPSOID_CFG.replace("a = 3.0", "a = 1.0")
+    for name, text in (("sphere", sphere), ("box", MACROSPIN_CFG.replace(
+            "direction = 0, 0, 1", "direction = 1, 0, 1"))):
+        calls.clear()
+        cfg = _write_cfg(tmp_path, text)
+        assert cli.main(["asymptotics", "--config", cfg,
+                         "--out", str(tmp_path / name), "--quiet"]) == 0
+        assert len(calls) == 1
+    sphere, box = _summary(tmp_path / "sphere"), _summary(tmp_path / "box")
+    for key in box:
+        assert np.allclose(sphere[key], box[key], rtol=0.0, atol=1e-15)
+
+
 @pytest.mark.parametrize("command", ["relax", "asymptotics"])
 def test_unconverged_solves_warn(tmp_path, capsys, command):
     # one relaxation step cannot reach 1e-14; the run still succeeds
@@ -353,10 +378,19 @@ def test_asymptotics_on_a_grid(tmp_path, capsys, monkeypatch):
     assert rc == 0
     assert "warning" not in capsys.readouterr().err
     assert plans[0].integrator == "semi-implicit-spectral"
-    assert plans[0].analytic_equilibrium is False
     s = _summary(tmp_path)
     assert np.allclose(s["eps"], [0.1, 0.05, 0.025, 0.0125])
     assert np.all(np.diff(s["sup_dist_after_tau"]) < 0)
+
+
+def test_plot_without_records_exit_one(tmp_path, capsys):
+    # a summary table is not a run record: nothing to draw is an error
+    (tmp_path / "summary.csv").write_text("a,b\n1.0,2.0\n")
+    for out in (tmp_path, tmp_path / "absent"):
+        rc = cli.main(["plot", "--out", str(out), "--quiet"])
+        assert rc == 1
+        assert f"error: no run-record CSV in {out}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["summary.csv"]
 
 
 def test_relax_then_plot_a_one_row_record(tmp_path):

@@ -8,6 +8,7 @@ from twoscale_ll.config import (
     parse_config,
     serialize_config,
 )
+from twoscale_ll.experiments import AsymptoticsPlan, HysteresisPlan
 
 GOOD = """
 [grid]
@@ -63,6 +64,19 @@ def test_defaults_only():
     assert cfg.get("grid", "nx") == 1
     assert cfg.get("material", "epsilon") is None
     assert cfg.get("domain", "shape") == "box"
+
+
+def test_study_defaults_are_the_plans():
+    # one default per setting: tsll runs what a library caller gets
+    cfg = parse_config("")
+    assert cfg.get("experiment", "perturbation") == \
+        AsymptoticsPlan.perturbation
+    assert cfg.get("experiment", "relax_tol") == AsymptoticsPlan.relax_tol \
+        == 1e-8
+    assert cfg.get("experiment", "relax_max_t") == \
+        AsymptoticsPlan.relax_max_T
+    assert cfg.get("experiment", "tensor_resolution") == \
+        HysteresisPlan.tensor_resolution
 
 
 def test_round_trip_exact():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from twoscale_ll import experiments
 from twoscale_ll.demag import FftDemag, TensorDemag
 from twoscale_ll.experiments import (
     AsymptoticsPlan,
@@ -66,20 +67,37 @@ def test_asymptotics_plan_validation():
     for s in (0.0, 1.0, -0.2):
         with pytest.raises(ValueError, match="perturbation"):
             AsymptoticsPlan((0.1,), sched, alpha=1.0, T=1.0, perturbation=s)
+    # tol 0 would run every solve to its budget and call it unconverged
+    for tol in (0.0, -1e-8):
+        with pytest.raises(ValueError, match="relax_tol must be > 0"):
+            AsymptoticsPlan((0.1,), sched, alpha=1.0, T=1.0, relax_tol=tol)
+    with pytest.raises(ValueError, match="max_T must be >= 0"):
+        AsymptoticsPlan((0.1,), sched, alpha=1.0, T=1.0, relax_max_T=-1.0)
 
 
-def test_asymptotics_rejects_a_wrong_analytic_reference():
-    # u(t) is an equilibrium only on one cell with an isotropic tensor; the
-    # default plan must not measure the distance to it anywhere else
-    sched = FieldSchedule.constant(1.0, (0.0, 0.0, 1.0))
-    plan = AsymptoticsPlan((0.1,), sched, alpha=1.0, T=1.0)
-    g8 = Grid3(8, 8, 8, 1 / 8, 1 / 8, 1 / 8)
-    with pytest.raises(ValueError, match="analytic_equilibrium"):
-        run_asymptotics(plan, g8, DomainMask.full(g8), FftDemag.for_grid(g8))
-    g1 = Grid3(1, 1, 1)
-    with pytest.raises(ValueError, match="analytic_equilibrium"):
-        run_asymptotics(plan, g1, DomainMask.full(g1),
-                        TensorDemag(np.diag([0.2, 0.3, 0.5])))
+def test_asymptotics_relaxes_the_reference_unless_u_is_exact(monkeypatch):
+    # u(t) is the equilibrium exactly on one cell with D = d I; there the
+    # default plan solves only for the initial state, elsewhere it relaxes
+    # a reference at every sample
+    calls = []
+    relax = experiments.relax_to_equilibrium
+
+    def spy(*args):
+        calls.append(args[1])
+        return relax(*args)
+    monkeypatch.setattr(experiments, "relax_to_equilibrium", spy)
+    sched = FieldSchedule.constant(1.0, (1.0, 0.0, 1.0))
+    plan = AsymptoticsPlan((0.1,), sched, alpha=1.0, T=1e-3,
+                           dt_over_eps=1e-4, samples_per_run=2)
+    g1, g8 = Grid3(1, 1, 1), Grid3(8, 8, 8, 1 / 8, 1 / 8, 1 / 8)
+    for g, demag, exact in (
+            (g1, TensorDemag(np.eye(3) / 3.0), True),
+            (g1, TensorDemag(np.diag([0.2, 0.3, 0.5])), False),
+            (g8, FftDemag.for_grid(g8), False)):
+        calls.clear()
+        row, = run_asymptotics(plan, g, DomainMask.full(g), demag)["summary"]
+        assert len(calls) == 1 if exact else len(calls) > 1
+        assert row["reference_converged"]
 
 
 def test_asymptotics_zero_perturbation_tracks_equilibrium():

@@ -184,3 +184,13 @@ def test_dissipation_scan_grid_mode_rejected(box12):
     g, mask = box12
     with pytest.raises(ValueError):
         dissipation_scan(np.eye(3) / 3.0, UZ, [0.5], 1.0, 0.2, 2, g, mask)
+
+
+def test_dissipation_scan_refuses_a_non_eigenvector(macrospin):
+    # +-u is an equilibrium only when D u = d u; off an eigenvector the
+    # ratios would describe no equilibrium at all
+    g, mask = macrospin
+    u = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    with pytest.raises(ValueError, match="not an eigenvector"):
+        dissipation_scan(np.diag([0.2, 0.3, 0.5]), u, [0.5], 1.0, 0.2, 2,
+                         g, mask)
