@@ -5,7 +5,7 @@ frozen-time relaxation flow used to produce equilibria."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, isfinite, sqrt
 from typing import Callable
 
 import numpy as np
@@ -13,6 +13,7 @@ import scipy.fft
 
 from .demag import DemagModel, demag_field
 from .grid import (
+    DegenerateCellError,
     DomainMask,
     Grid3,
     apply_mask,
@@ -109,19 +110,43 @@ def total_field(t: float, m: np.ndarray, g: Grid3, mask: DomainMask,
     return apply_mask(h, mask)
 
 
-def _ll_torque(m: np.ndarray, h: np.ndarray, alpha: float,
-               eps: float) -> np.ndarray:
-    """(1/eps) [ m ^ h - alpha m ^ (m ^ h) ] for any field h."""
-    mxh = cross3(m, h)
-    return (mxh - alpha * cross3(m, mxh)) / eps
+def _ll_torque3(m, h, alpha: float, eps: float) -> tuple[float, ...]:
+    """(1/eps) [ m ^ h - alpha m ^ (m ^ h) ] for three floats each of m and
+    h, where numpy's per-call cost would outweigh the arithmetic."""
+    m0, m1, m2 = m
+    h0, h1, h2 = h
+    c0 = m1 * h2 - m2 * h1
+    c1 = m2 * h0 - m0 * h2
+    c2 = m0 * h1 - m1 * h0
+    return ((c0 - alpha * (m1 * c2 - m2 * c1)) / eps,
+            (c1 - alpha * (m2 * c0 - m0 * c2)) / eps,
+            (c2 - alpha * (m0 * c1 - m1 * c0)) / eps)
+
+
+def _unit3(v) -> tuple[float, ...]:
+    """The three floats v scaled to unit norm (nan stays nan)."""
+    v0, v1, v2 = v
+    n = sqrt(v0 * v0 + v1 * v1 + v2 * v2)
+    if n == 0.0:
+        raise DegenerateCellError("zero vector at masked cell (0, 0, 0)")
+    return (v0 / n, v1 / n, v2 / n)
 
 
 def ll_rhs(t: float, m: np.ndarray, cfg: SolverConfig, g: Grid3,
            mask: DomainMask, demag: DemagModel,
            sched: FieldSchedule) -> np.ndarray:
-    """(1/eps) [ m ^ h_T - alpha m ^ (m ^ h_T) ]."""
-    return _ll_torque(m, total_field(t, m, g, mask, demag, sched),
-                      cfg.alpha, cfg.epsilon)
+    """(1/eps) [ m ^ h_T - alpha m ^ (m ^ h_T) ].
+
+    One cell has no interior face, so there h_T = h_d + h_ext exactly and
+    the torque is taken in floats.
+    """
+    if g.is_macrospin:
+        h = demag_field(demag, m, g, mask) + eval_h_ext(sched, t, g, mask)
+        return np.array(_ll_torque3(m.ravel().tolist(), h.ravel().tolist(),
+                                    cfg.alpha, cfg.epsilon)).reshape(m.shape)
+    h = total_field(t, m, g, mask, demag, sched)
+    mxh = cross3(m, h)
+    return (mxh - cfg.alpha * cross3(m, mxh)) / cfg.epsilon
 
 
 def parabolic_rhs_F(t: float, m: np.ndarray, cfg: SolverConfig, g: Grid3,
@@ -165,8 +190,24 @@ def step(t: float, m: np.ndarray, dt: float, cfg: SolverConfig, g: Grid3,
     """One time step; always returns a unit field on the mask.
 
     semi-implicit-spectral solves in the cosine basis of the box, so it
-    raises ModeMismatchError on a masked domain.
+    raises ModeMismatchError on a masked domain. One cell steps in floats:
+    there Lap = 0, F = eps ll_rhs, and the cosine solve only divides by
+    the shift eps/dt.
     """
+    if g.is_macrospin:
+        k = ll_rhs(t, m, cfg, g, mask, demag, sched).ravel().tolist()
+        m3 = m.ravel().tolist()
+        if cfg.integrator == "projected-explicit":
+            mh = _unit3([a + 0.5 * dt * b for a, b in zip(m3, k)])
+            k = ll_rhs(t + 0.5 * dt, np.array(mh).reshape(m.shape), cfg, g,
+                       mask, demag, sched).ravel().tolist()
+            out = [a + dt * b for a, b in zip(m3, k)]
+        else:
+            s = cfg.epsilon / dt
+            out = [(s * a + cfg.epsilon * b) / s for a, b in zip(m3, k)]
+        if not all(map(isfinite, out)):
+            raise BlowUpError(t + dt)
+        return np.array(_unit3(out)).reshape(m.shape)
     if cfg.integrator == "projected-explicit":
         k1 = ll_rhs(t, m, cfg, g, mask, demag, sched)
         mh = normalize_pointwise(m + 0.5 * dt * k1, mask)

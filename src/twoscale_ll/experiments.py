@@ -13,7 +13,7 @@ from .demag import DemagModel, TensorDemag, depolarization_tensor
 from .dynamics import (
     RunRecord,
     SolverConfig,
-    _ll_torque,
+    _ll_torque3,
     _n_steps,
     integrate,
     relax_to_equilibrium,
@@ -218,9 +218,15 @@ def run_hysteresis(plan: HysteresisPlan) -> dict:
     # samples (sphere) this is the only symmetry breaking available.
     h_bias = 1e-6 * evecs[:, 2]
 
-    def rhs(t: float, m: np.ndarray) -> np.ndarray:
-        h = -(D @ m) + np.interp(t, knots_t, knots_v) * u_field + h_bias
-        return _ll_torque(m, h, alpha, eps)
+    # in floats, as the one-cell ll_rhs: -D m + lambda(t) u_field + h_bias
+    D_rows, u_f, h_b = D.tolist(), u_field.tolist(), h_bias.tolist()
+
+    def rhs(t: float, m: np.ndarray) -> tuple[float, ...]:
+        m = m.tolist()
+        lam = float(np.interp(t, knots_t, knots_v))
+        h = [-(d[0] * m[0] + d[1] * m[1] + d[2] * m[2]) + lam * u + b
+             for d, u, b in zip(D_rows, u_f, h_b)]
+        return _ll_torque3(m, h, alpha, eps)
 
     t_end = n_periods * plan.period
     t_eval = np.arange(0.0, t_end + 0.5 * plan.dt, plan.dt)

@@ -262,7 +262,7 @@ def dot3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def cross3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Pointwise cross product (manual expansion, faster than numpy's
-    cross on the small arrays used in macrospin stepping)."""
+    cross on small arrays)."""
     out = np.empty_like(u)
     out[..., 0] = u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1]
     out[..., 1] = u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2]

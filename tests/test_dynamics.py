@@ -20,10 +20,12 @@ from twoscale_ll.dynamics import (
     total_field,
 )
 from twoscale_ll.grid import (
+    DegenerateCellError,
     DomainMask,
     EllipsoidSpec,
     Grid3,
     ModeMismatchError,
+    ShapeMismatchError,
     constant_field,
     cross3,
     dot3,
@@ -34,7 +36,12 @@ from twoscale_ll.grid import (
     normalize_pointwise,
 )
 from twoscale_ll.linearization import sample_admissible_perturbation
-from twoscale_ll.schedule import FieldSchedule, RotatingDirection, eval_h_ext
+from twoscale_ll.schedule import (
+    BumpEnvelope,
+    FieldSchedule,
+    RotatingDirection,
+    eval_h_ext,
+)
 
 from conftest import random_unit_field, up_field
 
@@ -150,6 +157,92 @@ def test_precession_conserves_field_projection(macrospin, sphere_tensor):
     out = step(0.0, m, dt, cfg, g, mask, sphere_tensor, sched)
     drift = abs(out[0, 0, 0, 2] - 0.8)
     assert drift < 10.0 * (dt / 0.05) ** 3
+
+
+def _one_cell_case(name):
+    """(demag, schedule) on one cell: a non-diagonal tensor, the FFT
+    operator built for one cell, or a rotating field under an off-centre
+    bump (chi < 1 at the cell)."""
+    tensor = TensorDemag(np.array([[0.30, 0.05, 0.02],
+                                   [0.05, 0.25, 0.01],
+                                   [0.02, 0.01, 0.45]]))
+    sweep = FieldSchedule(np.array([[0.0, 0.7], [1.0, -0.4]]),
+                          RotatingDirection((0.0, 0.2, 1.0), (1.0, 0.0, 0.0),
+                                            0.9))
+    if name == "tensor":
+        return tensor, sweep
+    if name == "fft":
+        return FftDemag.for_grid(Grid3(1, 1, 1)), sweep
+    bump = BumpEnvelope((0.2, 0.7, 0.4), 1.0)
+    assert 0.0 < bump.values(Grid3(1, 1, 1))[0, 0, 0] < 1.0
+    return tensor, FieldSchedule(sweep.knots, sweep.direction, bump)
+
+
+@pytest.mark.parametrize("integrator",
+                         ["projected-explicit", "semi-implicit-spectral"])
+@pytest.mark.parametrize("case", ["tensor", "fft", "bump"])
+def test_one_cell_matches_the_array_formulas(macrospin, integrator, case):
+    # the float one-cell path against the grid formulas written out here
+    g, mask = macrospin
+    demag, sched = _one_cell_case(case)
+    cfg = SolverConfig(epsilon=0.05, alpha=0.7, T=1.0, dt=0.01,
+                       integrator=integrator)
+    dt, s = cfg.dt, cfg.epsilon / cfg.dt
+
+    def rhs(t, m):
+        mxh = cross3(m, total_field(t, m, g, mask, demag, sched))
+        return (mxh - cfg.alpha * cross3(m, mxh)) / cfg.epsilon
+
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        m = normalize_pointwise(rng.standard_normal((1, 1, 1, 3)), mask)
+        t = rng.uniform(0.0, 0.9)
+        got = ll_rhs(t, m, cfg, g, mask, demag, sched)
+        assert got.shape == m.shape
+        assert np.max(np.abs(got - rhs(t, m))) <= 1e-15 * np.max(np.abs(got))
+        if integrator == "projected-explicit":
+            mh = normalize_pointwise(m + 0.5 * dt * rhs(t, m), mask)
+            want = normalize_pointwise(m + dt * rhs(t + 0.5 * dt, mh), mask)
+        else:
+            F = parabolic_rhs_F(t, m, cfg, g, mask, demag, sched)
+            want = normalize_pointwise((s * m + F) / s, mask)
+        out = step(t, m, dt, cfg, g, mask, demag, sched)
+        assert out.shape == m.shape
+        assert np.max(np.abs(out - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("integrator",
+                         ["projected-explicit", "semi-implicit-spectral"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_step_error_contract(integrator, n):
+    g = Grid3(n, n, n, 1.0 / n, 1.0 / n, 1.0 / n)
+    mask = DomainMask.full(g)
+    demag = FftDemag.for_grid(g)
+    cfg = SolverConfig(epsilon=0.1, alpha=1.0, T=1.0, dt=0.2,
+                       integrator=integrator)
+    fine = FieldSchedule.constant(0.7, (0.0, 0.0, 1.0))
+    m = up_field(g, mask)
+    bad = np.zeros((2 * n, n, n, 3))
+    bad[..., 2] = 1.0
+    with pytest.raises(ShapeMismatchError):
+        ll_rhs(0.0, bad, cfg, g, mask, demag, fine)
+    with pytest.raises(ShapeMismatchError):
+        step(0.0, bad, cfg.dt, cfg, g, mask, demag, fine)
+    with pytest.raises(DegenerateCellError):
+        step(0.0, np.zeros_like(m), cfg.dt, cfg, g, mask, demag, fine)
+    # non-finite from the first evaluation; and, explicit only, a field
+    # that turns non-finite after t = 1, so that of the step from t = 0.95
+    # only the midpoint stage at t + dt/2 = 1.05 sees it
+    nan_field = FieldSchedule(np.array([[0.0, np.nan], [2.0, np.nan]]))
+    late = FieldSchedule(np.array([[0.0, 0.7], [1.0, 0.7], [2.0, np.nan]]))
+    cases = [(0.5, nan_field)]
+    if integrator == "projected-explicit":
+        cases.append((0.95, late))
+    for t, sched in cases:
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(BlowUpError) as exc:
+                step(t, m, cfg.dt, cfg, g, mask, demag, sched)
+        assert exc.value.time == t + cfg.dt
 
 
 def test_energy_gradient_is_total_field(box12, demag12, static_field):
