@@ -33,12 +33,21 @@ class FftDemag:
     Padding (>= 2x per axis) emulates the whole-space convolution; the
     residual wrap-around of periodic images is the dominant discretization
     error at desk scale.
+
+    The model owns the complex work buffers of its transforms, so one model
+    is not for concurrent calls from several threads.
     """
 
     grid: Grid3
     padded_shape: tuple[int, int, int]
 
     def __post_init__(self):
+        shape = self.padded_shape
+        if not (len(shape) == 3 and all(
+                isinstance(n, (int, np.integer)) and n >= 1 for n in shape)):
+            raise ValueError(
+                f"padded_shape must be three ints >= 1, got {shape!r}")
+        object.__setattr__(self, "padded_shape", tuple(map(int, shape)))
         for n, npad in zip(self.grid.shape, self.padded_shape):
             if n > 1 and npad < 2 * n:
                 raise ValueError("padding must be >= 2x per axis")
@@ -62,6 +71,12 @@ class FftDemag:
         for a in (kx, ky, kz, k2):
             a.flags.writeable = False
         return (kx, ky, kz), k2
+
+    @cached_property
+    def _buffers(self) -> dict:
+        """Complex work buffers of _fft_field, keyed by output shape; each
+        built on first use of its shape."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -89,31 +104,62 @@ DemagModel = FftDemag | TensorDemag
 def _fft_field(model: FftDemag, m: np.ndarray, g: Grid3, mask: DomainMask,
                shape: tuple[int, int, int]) -> np.ndarray:
     """Demag field of m on the leading shape-sized corner of the padded
-    box; ModeMismatchError unless the model was built for g.
+    box; ModeMismatchError unless the model was built for g's shape and
+    spacings.
 
-    Works one component at a time to keep peak memory low on large grids.
+    One-axis passes, each over only the lines that hold data or are kept.
+    The complex passes run in place on the model's buffers (each pass's
+    result is used, so a copying scipy.fft stays correct); the result is
+    a new array.
     """
     _check_field(m, g)
-    if model.grid.shape != g.shape:
+    if model.grid.shape != g.shape or model.grid.spacings != g.spacings:
         raise ModeMismatchError("demag model was built for a different grid")
-    mm = apply_mask(m, mask)
-    ks, k2 = model._spectrum
-    kdotm = None
-    for i, k in enumerate(ks):
-        # rfftn zero-pads the component up to the padded shape
-        fm = scipy.fft.rfftn(mm[..., i], s=model.padded_shape)
-        fm *= k
-        kdotm = fm if kdotm is None else kdotm + fm
-    coeff = kdotm / k2
-    coeff *= -1.0
-    coeff[0, 0, 0] = 0.0
-    del mm, fm, kdotm  # free them before the inverse transforms
+    (kx, ky, kz), k2 = model._spectrum
+    px, py, pz = model.padded_shape
+    nx, ny = g.shape[:2]
     sx, sy, sz = shape
-    h = np.empty(shape + (3,))
-    for i, k in enumerate(ks):
-        hi = scipy.fft.irfftn(coeff * k, s=model.padded_shape)
-        h[..., i] = hi[:sx, :sy, :sz]
-    return h
+    bufs = model._buffers.get(shape)
+    if bufs is None:
+        nkz = pz // 2 + 1
+        bufs = model._buffers[shape] = (
+            np.empty((3, sx, py, nkz), complex),  # y passes, sx >= nx
+            np.empty((2, px, py, nkz), complex))  # x passes
+    fy, fx = bufs
+    # forward: z over the nx*ny data lines, y over nx*nkz lines
+    mm = np.moveaxis(apply_mask(m, mask), -1, 0)
+    f = fy[:, :nx]
+    f[:, :, :ny] = scipy.fft.rfft(mm, n=pz, axis=-1)
+    f[:, :, ny:] = 0.0
+    f = scipy.fft.fft(f, axis=2, overwrite_x=True)
+    # x over the whole padded box; ky and kz do not vary along x, so it
+    # takes two fields, f_x and ky f_y + kz f_z
+    fx[:, nx:] = 0.0
+    fx[0, :nx] = f[0]
+    np.multiply(f[1], ky, out=fx[1, :nx])
+    f[2] *= kz
+    fx[1, :nx] += f[2]
+    f = scipy.fft.fft(fx, axis=1, overwrite_x=True)
+    # c = -(kx F_x + F_yz) / |k|^2 in f[0] (0 at k = 0, where the sum is 0
+    # and |k|^2 is 1), kx c in f[1]
+    c = f[0]
+    c *= kx
+    c += f[1]
+    c /= k2
+    c *= -1.0
+    np.multiply(c, kx, out=f[1])
+    # inverse: x over c and kx c, then y over the sx kept planes of
+    # kx c, ky c and c
+    f = scipy.fft.ifft(f, axis=1, overwrite_x=True)
+    fy[0] = f[1, :sx]
+    np.multiply(f[0, :sx], ky, out=fy[1])
+    fy[2] = f[0, :sx]
+    f = scipy.fft.ifft(fy, axis=2, overwrite_x=True)
+    # z over the sx*sy kept lines, c times kz first
+    f = f[:, :, :sy]
+    f[2] *= kz
+    hp = scipy.fft.irfft(f, n=pz, axis=-1)
+    return np.moveaxis(hp[..., :sz], 0, -1).copy()
 
 
 def demag_field(model: DemagModel, m: np.ndarray, g: Grid3,

@@ -81,6 +81,84 @@ def test_fft_grid_mismatch():
     with pytest.raises(ModeMismatchError):
         demag_field_padded(model, constant_field(g3, (0.0, 0.0, 1.0), mask3),
                            g3, mask3)
+    # same shape, other spacings: the multiplier's frequencies differ
+    unit = FftDemag.for_grid(Grid3(8, 8, 8))
+    g4 = Grid3(8, 8, 8, 1.0, 2.0, 3.0)
+    mask4 = DomainMask.full(g4)
+    m4 = constant_field(g4, (0.0, 0.0, 1.0), mask4)
+    with pytest.raises(ModeMismatchError):
+        demag_field(unit, m4, g4, mask4)
+    with pytest.raises(ModeMismatchError):
+        demag_field_padded(unit, m4, g4, mask4)
+    # the origin does not enter the operator
+    g5 = Grid3(8, 8, 8, origin=(-4.0, -4.0, -4.0))
+    mask5 = DomainMask.full(g5)
+    demag_field(unit, constant_field(g5, (0.0, 0.0, 1.0), mask5), g5, mask5)
+
+
+@pytest.mark.parametrize("padded", [(8, 8), (8, 8, 0), (8, 8, -3),
+                                    (8.0, 8, 1), (8, 8, 8, 8)])
+def test_fft_padded_shape_must_be_three_ints(padded):
+    g = Grid3(4, 4, 1)
+    with pytest.raises(ValueError, match="three ints >= 1"):
+        FftDemag(g, padded)
+    assert FftDemag(g, (8, np.int64(8), 1)).padded_shape == (8, 8, 1)
+
+
+def _textbook_field(model, m, mask, shape):
+    """-k (k . m^) / |k|^2 with full rfftn/irfftn on the padded box, then
+    restricted to the leading shape-sized corner."""
+    g = model.grid
+    px, py, pz = model.padded_shape
+    k = (np.fft.fftfreq(px, d=g.hx)[:, None, None],
+         np.fft.fftfreq(py, d=g.hy)[None, :, None],
+         np.fft.rfftfreq(pz, d=g.hz)[None, None, :])
+    mm = np.where(mask.inside[..., None], m, 0.0)
+    mh = [np.fft.rfftn(mm[..., i], s=model.padded_shape,
+                        axes=(0, 1, 2)) for i in range(3)]
+    k2 = k[0]**2 + k[1]**2 + k[2]**2
+    k2[0, 0, 0] = 1.0
+    kdotm = (k[0] * mh[0] + k[1] * mh[1] + k[2] * mh[2]) / k2
+    kdotm[0, 0, 0] = 0.0
+    sx, sy, sz = shape
+    return np.stack([np.fft.irfftn(-ki * kdotm, s=model.padded_shape,
+                                   axes=(0, 1, 2))
+                     [:sx, :sy, :sz] for ki in k], axis=-1)
+
+
+@pytest.mark.parametrize("g,spec,padded", [
+    pytest.param(Grid3(16, 16, 16, 1 / 16, 1 / 16, 1 / 16), None, None,
+                 id="box16"),
+    pytest.param(Grid3(12, 10, 8, 2 / 12, 1.6 / 10, 1.2 / 8,
+                       origin=(-1, -0.8, -0.6)),
+                 EllipsoidSpec(1.0, 0.8, 0.6), None, id="ellipsoid"),
+    pytest.param(Grid3(10, 9, 8, 0.1, 0.23, 0.05), None, None,
+                 id="anisotropic"),
+    pytest.param(Grid3(8, 8, 1, 0.1, 0.1, 0.1), None, None, id="flat"),
+    pytest.param(Grid3(4, 5, 5, 0.3, 0.2, 0.1), None, (9, 10, 11),
+                 id="odd_pad"),
+    pytest.param(Grid3(1, 1, 1), None, None, id="one_cell"),
+])
+def test_fft_field_matches_the_textbook_transform(g, spec, padded):
+    mask = (DomainMask.full(g) if spec is None
+            else DomainMask.ellipsoid(g, spec))
+    model = FftDemag.for_grid(g) if padded is None else FftDemag(g, padded)
+    rng = np.random.default_rng(3)
+    # alternate padded and restricted calls with new m on one model, so a
+    # buffer left stale by an earlier call would show
+    for _ in range(2):
+        for shape, field in ((g.shape, demag_field),
+                             (model.padded_shape, demag_field_padded)):
+            m = rng.standard_normal(g.shape + (3,))
+            want = _textbook_field(model, m, mask, shape)
+            h = field(model, m, g, mask)
+            assert h.shape == shape + (3,)
+            assert np.max(np.abs(h - want)) <= 1e-13 * np.max(np.abs(want))
+            # the result is the caller's: writing into it changes nothing
+            h[...] = np.nan
+            again = field(model, m, g, mask)
+            assert np.max(np.abs(again - want)) <= \
+                1e-13 * np.max(np.abs(want))
 
 
 def test_operator_symmetric_nonpositive_contractive():
