@@ -34,8 +34,7 @@ from .experiments import (
     run_hysteresis,
 )
 from .grid import (DomainMask, EllipsoidSpec, Grid3, _box_center,
-                   constant_field, inner_products, laplacian_neumann,
-                   normalize_pointwise)
+                   constant_field, inner_products, laplacian_neumann)
 from .linearization import dissipation_scan
 from .reporting import (
     CSV_HEADER,
@@ -128,8 +127,7 @@ def cmd_relax(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
 
 def cmd_evolve(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
     g, mask, demag, sched, solver = _build(cfg)
-    m0 = normalize_pointwise(
-        constant_field(g, sched.direction.at(sched.t_min), mask), mask)
+    m0 = constant_field(g, sched.direction.at(sched.t_min), mask)
     rec, _ = integrate(m0, solver, g, mask, demag, sched,
                        sample_every=cfg.get("solver", "sample_every"))
     _write(os.path.join(out, "evolve.csv"), record_to_csv(rec), quiet)

@@ -1,10 +1,9 @@
 """Plain-text run configuration: [section] key = value format with a fixed
-schema, strict validation, and deterministic round-trip serialization."""
+schema and strict validation."""
 
 from __future__ import annotations
 
 import configparser
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +100,7 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 @dataclass(frozen=True)
 class RunConfig:
     """Validated, fully defaulted configuration (values are primitives and
-    tuples so equality and round-tripping are exact)."""
+    tuples so equality is exact)."""
 
     values: tuple[tuple[str, tuple[tuple[str, object], ...]], ...]
 
@@ -196,29 +195,3 @@ def _validate(v: dict[str, dict[str, object]], errors: list[str]) -> None:
         errors.append("field.envelope must be constant or bump")
     if v["field"]["envelope"] == "bump" and v["field"]["bump_radius"] is None:
         errors.append("field.bump_radius required for envelope = bump")
-
-
-def _serialize_value(tname: str, value) -> str:
-    if tname == "knots":
-        return ", ".join(f"{repr(float(t))}:{repr(float(x))}"
-                         for t, x in value)
-    if tname in ("floats", "vec3"):
-        return ", ".join(repr(float(x)) for x in value)
-    if tname == "float":
-        return repr(float(value))
-    return str(value)
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Inverse of parse_config (round-trips exactly)."""
-    buf = io.StringIO()
-    d = cfg.to_dict()
-    for sec in SCHEMA:
-        buf.write(f"[{sec}]\n")
-        for key, (tname, _) in SCHEMA[sec].items():
-            value = d[sec][key]
-            if value is None:
-                continue
-            buf.write(f"{key} = {_serialize_value(tname, value)}\n")
-        buf.write("\n")
-    return buf.getvalue()

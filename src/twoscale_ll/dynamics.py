@@ -80,6 +80,13 @@ def _n_steps(T: float, dt: float) -> int:
     return n
 
 
+def _check_span(T: float, sched: FieldSchedule) -> None:
+    """ValueError unless a run over T from sched.t_min ends in the schedule."""
+    if sched.t_min + T > sched.t_max:
+        raise ValueError(f"T = {T} from t = {sched.t_min} outlives the "
+                         f"schedule, which ends at t = {sched.t_max}")
+
+
 @dataclass
 class RunRecord:
     """Sampled diagnostics of one run (columns of equal length)."""
@@ -192,7 +199,7 @@ def step(t: float, m: np.ndarray, dt: float, cfg: SolverConfig, g: Grid3,
     semi-implicit-spectral solves in the cosine basis of the box, so it
     raises ModeMismatchError on a masked domain. One cell steps in floats:
     there Lap = 0, F = eps ll_rhs, and the cosine solve only divides by
-    the shift eps/dt.
+    the shift eps/dt, so both integrators end with m + dt k.
     """
     if g.is_macrospin:
         k = ll_rhs(t, m, cfg, g, mask, demag, sched).ravel().tolist()
@@ -201,10 +208,7 @@ def step(t: float, m: np.ndarray, dt: float, cfg: SolverConfig, g: Grid3,
             mh = _unit3([a + 0.5 * dt * b for a, b in zip(m3, k)])
             k = ll_rhs(t + 0.5 * dt, np.array(mh).reshape(m.shape), cfg, g,
                        mask, demag, sched).ravel().tolist()
-            out = [a + dt * b for a, b in zip(m3, k)]
-        else:
-            s = cfg.epsilon / dt
-            out = [(s * a + cfg.epsilon * b) / s for a, b in zip(m3, k)]
+        out = [a + dt * b for a, b in zip(m3, k)]
         if not all(map(isfinite, out)):
             raise BlowUpError(t + dt)
         return np.array(_unit3(out)).reshape(m.shape)
@@ -254,13 +258,15 @@ def integrate(m0: np.ndarray, cfg: SolverConfig, g: Grid3, mask: DomainMask,
     """Advance the LL flow from t0 = sched.t_min over T, sampling diagnostics.
 
     The step dt must divide T (relative tolerance 1e-9), so the run ends
-    at t0 + T; otherwise ValueError. reference(t), when given, supplies the
+    at t0 + T, where its last row is sampled; otherwise ValueError, as for
+    a run that outlives the schedule. reference(t), when given, supplies the
     field against which the H2 distance column is measured. On a blow-up,
     in a step or in reference(t), the rows sampled so far are attached to
     the raised BlowUpError.
     """
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
+    _check_span(cfg.T, sched)
     dt = resolve_dt(cfg, g) if cfg.T > 0 else 1.0
     n_steps = _n_steps(cfg.T, dt)
     rows: list[tuple] = []
@@ -287,7 +293,9 @@ def integrate(m0: np.ndarray, cfg: SolverConfig, g: Grid3, mask: DomainMask,
         sample(t0, m)
         for i in range(n_steps):
             m = step(t0 + i * dt, m, dt, cfg, g, mask, demag, sched)
-            if (i + 1) % sample_every == 0 or i + 1 == n_steps:
+            if i + 1 == n_steps:
+                sample(t0 + cfg.T, m)  # t0 + n dt may round past it
+            elif (i + 1) % sample_every == 0:
                 sample(t0 + (i + 1) * dt, m)
     except BlowUpError as err:
         raise BlowUpError(err.time, build()) from None

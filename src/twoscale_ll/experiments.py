@@ -13,6 +13,7 @@ from .demag import DemagModel, TensorDemag, depolarization_tensor
 from .dynamics import (
     RunRecord,
     SolverConfig,
+    _check_span,
     _ll_torque3,
     _n_steps,
     integrate,
@@ -59,6 +60,7 @@ class AsymptoticsPlan:
             raise ValueError("relax_tol must be > 0")
         if self.relax_max_T < 0:
             raise ValueError(f"max_T must be >= 0, got {self.relax_max_T}")
+        _check_span(self.T, self.sched)
         for e in self.eps_ladder:
             _rung(self, e)
 

@@ -157,13 +157,11 @@ def _check_field(u: np.ndarray, g: Grid3) -> None:
             f"field shape {u.shape} does not match grid {g.shape + (3,)}")
 
 
-def constant_field(g: Grid3, v, mask: DomainMask | None = None) -> np.ndarray:
+def constant_field(g: Grid3, v, mask: DomainMask) -> np.ndarray:
     """Field equal to the 3-vector v on masked cells, zero outside."""
     u = np.zeros(g.shape + (3,))
     u[...] = np.asarray(v, dtype=float)
-    if mask is not None:
-        u = apply_mask(u, mask)
-    return u
+    return apply_mask(u, mask)
 
 
 def apply_mask(u: np.ndarray, mask: DomainMask) -> np.ndarray:

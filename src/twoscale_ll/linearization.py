@@ -48,8 +48,8 @@ class ConstantEquilibrium:
             raise ValueError("d must be > 0 and lambda >= 0")
         object.__setattr__(self, "u", u)
 
-    def check_eigenvector(self, D: np.ndarray, tol: float = 1e-10) -> None:
-        if np.max(np.abs(D @ self.u - self.d * self.u)) > tol:
+    def check_eigenvector(self, D: np.ndarray) -> None:
+        if np.max(np.abs(D @ self.u - self.d * self.u)) > 1e-10:
             raise ValueError("u is not an eigenvector of D for eigenvalue d")
 
 

@@ -38,15 +38,20 @@ def svg_line_chart(series: list[tuple[str, np.ndarray, np.ndarray]],
     """Standalone SVG with one polyline per series. Deterministic output:
     same data gives byte-identical files."""
     pad = 50
-    xs_all = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
-    ys_all = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
-    finite = np.isfinite(xs_all) & np.isfinite(ys_all)
-    if log_y:
-        finite &= ys_all > 0
-    if not np.any(finite):
+    kept = []
+    for name, xs, ys in series:
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        ok = np.isfinite(xs) & np.isfinite(ys)
+        if log_y:
+            ok &= ys > 0
+        kept.append((name, xs[ok], ys[ok]))
+    xs_all = np.concatenate([xs for _, xs, _ in kept])
+    ys_all = np.concatenate([ys for _, _, ys in kept])
+    if xs_all.size == 0:
         raise ValueError("no finite data to plot")
-    x_min, x_max = float(np.min(xs_all[finite])), float(np.max(xs_all[finite]))
-    yv = np.log10(ys_all[finite]) if log_y else ys_all[finite]
+    x_min, x_max = float(np.min(xs_all)), float(np.max(xs_all))
+    yv = np.log10(ys_all) if log_y else ys_all
     y_min, y_max = float(np.min(yv)), float(np.max(yv))
     if x_max == x_min:
         x_max = x_min + 1.0
@@ -75,14 +80,8 @@ def svg_line_chart(series: list[tuple[str, np.ndarray, np.ndarray]],
         f'<text x="14" y="{_HEIGHT // 2}" font-size="12" text-anchor="middle" '
         f'transform="rotate(-90 14 {_HEIGHT // 2})">{y_label}</text>',
     ]
-    for idx, (name, xs, ys) in enumerate(series):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        ok = np.isfinite(xs) & np.isfinite(ys)
-        if log_y:
-            ok &= ys > 0
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}"
-                       for x, y in zip(xs[ok], ys[ok]))
+    for idx, (name, xs, ys) in enumerate(kept):
+        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
         color = colors[idx % len(colors)]
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1.5" points="{pts}"/>')

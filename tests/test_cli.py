@@ -437,18 +437,27 @@ def test_evolve_rejects_negative_bump_radius(tmp_path, capsys):
     assert "bump radius must be > 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, extra, message", [
-    ("relax", "relax_max_t = -1", "max_T must be >= 0"),
-    ("asymptotics", "relax_max_t = -1", "max_T must be >= 0"),
-    ("dissipation-scan", "n_samples = 0", "n_samples must be >= 1"),
-    ("hysteresis", "period = 0",
+def _experiment(extra):
+    return MACROSPIN_CFG + f"\n[experiment]\n{extra}\n"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("relax", _experiment("relax_max_t = -1"), "max_T must be >= 0"),
+    ("asymptotics", _experiment("relax_max_t = -1"), "max_T must be >= 0"),
+    ("dissipation-scan", _experiment("n_samples = 0"),
+     "n_samples must be >= 1"),
+    ("hysteresis", _experiment("period = 0"),
      "period, epsilon, alpha and dt must be > 0"),
-    ("asymptotics", "perturbation = 1.5", "perturbation must be in (0, 1)"),
+    ("asymptotics", _experiment("perturbation = 1.5"),
+     "perturbation must be in (0, 1)"),
+    # refused before the relaxation, not once the run reaches t = 0.2
+    ("asymptotics", MACROSPIN_CFG.replace("1000.0:0.7", "0.2:0.7"),
+     "T = 0.5 from t = 0.0 outlives the schedule, which ends at t = 0.2"),
 ], ids=["relax", "asymptotics", "dissipation-scan", "hysteresis",
-        "asymptotics-perturbation"])
-def test_unrunnable_config_exit_one(tmp_path, capsys, command, extra,
+        "asymptotics-perturbation", "asymptotics-past-schedule"])
+def test_unrunnable_config_exit_one(tmp_path, capsys, command, text,
                                     message):
-    cfg = _write_cfg(tmp_path, MACROSPIN_CFG + f"\n[experiment]\n{extra}\n")
+    cfg = _write_cfg(tmp_path, text)
     rc = cli.main([command, "--config", cfg, "--out", str(tmp_path),
                    "--quiet"])
     assert rc == 1

@@ -1,13 +1,8 @@
-"""Configuration parsing, validation, and round-trip serialization."""
+"""Configuration parsing and validation."""
 
 import pytest
 
-from twoscale_ll.config import (
-    ConfigError,
-    RunConfig,
-    parse_config,
-    serialize_config,
-)
+from twoscale_ll.config import ConfigError, parse_config
 from twoscale_ll.experiments import AsymptoticsPlan, HysteresisPlan
 
 GOOD = """
@@ -77,19 +72,6 @@ def test_study_defaults_are_the_plans():
         AsymptoticsPlan.relax_max_T
     assert cfg.get("experiment", "tensor_resolution") == \
         HysteresisPlan.tensor_resolution
-
-
-def test_round_trip_exact():
-    cfg = parse_config(GOOD)
-    text = serialize_config(cfg)
-    again = parse_config(text)
-    assert again == cfg
-    assert serialize_config(again) == text
-
-
-def test_serialization_deterministic():
-    assert serialize_config(parse_config(GOOD)) == \
-        serialize_config(parse_config(GOOD))
 
 
 def test_multiple_errors_listed():

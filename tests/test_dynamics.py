@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from twoscale_ll import dynamics
 from twoscale_ll.demag import FftDemag, TensorDemag, demag_field
 from twoscale_ll.dynamics import (
     BlowUpError,
@@ -361,7 +362,7 @@ def test_integrate_sampling_and_columns(macrospin, sphere_tensor,
 
 
 def test_integrate_ends_at_T_or_refuses(macrospin, sphere_tensor,
-                                        static_field):
+                                        static_field, monkeypatch):
     # a dt that does not divide T used to stop short (0.4) or overshoot (0.6)
     g, mask = macrospin
     m0 = up_field(g, mask)
@@ -379,6 +380,20 @@ def test_integrate_ends_at_T_or_refuses(macrospin, sphere_tensor,
                        FftDemag.for_grid(g4), static_field)
     assert len(rec.times) == 5
     assert rec.times[-1] == pytest.approx(0.03, rel=1e-12)
+    # a run that spans its schedule samples its last row at T itself,
+    # though t0 + n dt rounds past it: 70 * 0.01 and 7 * (0.9 / 7)
+    for T, dt in ((0.7, 0.01), (0.9, 0.9 / 7)):
+        sched = FieldSchedule(np.array([[0.0, 0.7], [T, 0.7]]))
+        cfg = SolverConfig(epsilon=0.1, alpha=1.0, T=T, dt=dt,
+                           integrator="projected-explicit")
+        rec, _ = integrate(m0, cfg, g, mask, sphere_tensor, sched)
+        assert rec.times[-1] == T
+    # a run past the schedule's end is refused before its first step
+    monkeypatch.setattr(dynamics, "step", None)
+    cfg = SolverConfig(epsilon=0.1, alpha=1.0, T=2.0, dt=0.01,
+                       integrator="projected-explicit")
+    with pytest.raises(ValueError, match="T = 2.0 .* ends at t = 0.9"):
+        integrate(m0, cfg, g, mask, sphere_tensor, sched)
 
 
 def test_integrate_starts_at_the_schedule_start(macrospin, sphere_tensor):

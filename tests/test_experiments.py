@@ -73,6 +73,10 @@ def test_asymptotics_plan_validation():
             AsymptoticsPlan((0.1,), sched, alpha=1.0, T=1.0, relax_tol=tol)
     with pytest.raises(ValueError, match="max_T must be >= 0"):
         AsymptoticsPlan((0.1,), sched, alpha=1.0, T=1.0, relax_max_T=-1.0)
+    # a run past the schedule's end: refused before the relaxation
+    short = FieldSchedule(np.array([[0.0, 5.0], [1.0, 5.0]]))
+    with pytest.raises(ValueError, match="T = 2.0 .* ends at t = 1.0"):
+        AsymptoticsPlan((0.1,), short, alpha=1.0, T=2.0)
 
 
 def test_asymptotics_relaxes_the_reference_unless_u_is_exact(monkeypatch):

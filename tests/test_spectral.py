@@ -110,11 +110,3 @@ def test_commutator_vanishes_at_full_k():
     c = commutator_PkF(m, k_full, 0.0, cfg, g, mask, demag, sched)
     scale = commutator_PkF(m, 8, 0.0, cfg, g, mask, demag, sched)
     assert c < 1e-8 * max(scale, 1.0)
-
-
-def test_commutator_decreases_on_smooth_slice():
-    m, cfg, g, mask, demag, sched = _evolved_slice()
-    ks = [8, 27, 64, 125]
-    vals = [commutator_PkF(m, k, 0.0, cfg, g, mask, demag, sched)
-            for k in ks]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
