@@ -1,7 +1,7 @@
 """Batch front-end: subcommand dispatch over a validated run config, with
 CSV and SVG report emission.
 
-Exit codes: 0 success, 1 validation error, 2 numerical blow-up.
+Exit codes: 0 success, 1 usage or validation error, 2 numerical blow-up.
 """
 
 from __future__ import annotations
@@ -14,13 +14,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, parse_config
-from .demag import (
-    FftDemag,
-    TensorDemag,
-    demag_tensor_estimate,
-    depolarization_tensor,
-)
+from .config import ConfigError, parse_config
+from .demag import FftDemag, TensorDemag, depolarization_tensor
 from .dynamics import (
     BlowUpError,
     SolverConfig,
@@ -33,8 +28,7 @@ from .experiments import (
     run_asymptotics,
     run_hysteresis,
 )
-from .grid import (DomainMask, EllipsoidSpec, Grid3, _box_center,
-                   constant_field, inner_products, laplacian_neumann)
+from .grid import DomainMask, EllipsoidSpec, Grid3, _box_center, constant_field
 from .linearization import dissipation_scan
 from .reporting import (
     CSV_HEADER,
@@ -49,35 +43,33 @@ from .schedule import (
     FixedDirection,
     RotatingDirection,
 )
-from .spectral import project_Pk
 
 
 _UNIT_SPHERE = EllipsoidSpec(1.0, 1.0, 1.0)
 
 
-def _ellipsoid(cfg: RunConfig) -> EllipsoidSpec | None:
+def _ellipsoid(cfg: dict) -> EllipsoidSpec | None:
     """The configured sample: an ellipsoid, or None for shape = box."""
-    d = cfg.to_dict()["domain"]
+    d = cfg["domain"]
     if d["shape"] != "ellipsoid":
         return None
     return EllipsoidSpec(d["a"], d["b"], d["c"])
 
 
-def _tensor_shape(cfg: RunConfig) -> EllipsoidSpec:
+def _tensor_shape(cfg: dict) -> EllipsoidSpec:
     """The ellipsoid of the tensor rule; a box is taken as the unit sphere."""
     return _ellipsoid(cfg) or _UNIT_SPHERE
 
 
-def _tensor(cfg: RunConfig) -> np.ndarray:
+def _tensor(cfg: dict) -> np.ndarray:
     """Depolarization tensor of the sample, by the library's one rule."""
     return depolarization_tensor(_tensor_shape(cfg),
-                                 cfg.get("experiment", "tensor_resolution"))
+                                 cfg["experiment"]["tensor_resolution"])
 
 
-def _build(cfg: RunConfig):
+def _build(cfg: dict):
     """(grid, mask, demag model, field schedule, solver) of the run."""
-    d = cfg.to_dict()
-    gd, f, s = d["grid"], d["field"], d["solver"]
+    gd, f, s = cfg["grid"], cfg["field"], cfg["solver"]
     g = Grid3(gd["nx"], gd["ny"], gd["nz"], gd["hx"], gd["hy"], gd["hz"])
     ell = _ellipsoid(cfg)
     mask = DomainMask.full(g) if ell is None else DomainMask.ellipsoid(g, ell)
@@ -94,9 +86,9 @@ def _build(cfg: RunConfig):
     else:
         envelope = ConstantEnvelope()
     sched = FieldSchedule(np.asarray(f["knots"]), direction, envelope)
-    eps = d["material"]["epsilon"]  # unset: 0.1 (hysteresis: the plan's)
+    eps = cfg["material"]["epsilon"]  # unset: 0.1 (hysteresis: the plan's)
     solver = SolverConfig(epsilon=0.1 if eps is None else eps,
-                          alpha=d["material"]["alpha"], T=s["t_final"],
+                          alpha=cfg["material"]["alpha"], T=s["t_final"],
                           integrator=s["integrator"], dt=s["dt"])
     return g, mask, demag, sched, solver
 
@@ -109,12 +101,12 @@ def _write(path: str, text: str, quiet: bool) -> None:
         print(f"wrote {path}")
 
 
-def cmd_relax(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
+def cmd_relax(cfg: dict, out: str, seed: int, quiet: bool) -> int:
     g, mask, demag, sched, solver = _build(cfg)
     m0 = constant_field(g, sched.direction.at(sched.t_min), mask)
     m, converged = relax_to_equilibrium(
-        m0, sched.t_min, cfg.get("experiment", "relax_tol"),
-        cfg.get("experiment", "relax_max_t"), solver.alpha, g, mask, demag,
+        m0, sched.t_min, cfg["experiment"]["relax_tol"],
+        cfg["experiment"]["relax_max_t"], solver.alpha, g, mask, demag,
         sched)
     rec, _ = integrate(m, replace(solver, T=0.0), g, mask, demag, sched)
     _write(os.path.join(out, "relax.csv"), record_to_csv(rec), quiet)
@@ -125,29 +117,29 @@ def cmd_relax(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
     return 0
 
 
-def cmd_evolve(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
+def cmd_evolve(cfg: dict, out: str, seed: int, quiet: bool) -> int:
     g, mask, demag, sched, solver = _build(cfg)
     m0 = constant_field(g, sched.direction.at(sched.t_min), mask)
     rec, _ = integrate(m0, solver, g, mask, demag, sched,
-                       sample_every=cfg.get("solver", "sample_every"))
+                       sample_every=cfg["solver"]["sample_every"])
     _write(os.path.join(out, "evolve.csv"), record_to_csv(rec), quiet)
     return 0
 
 
-def cmd_asymptotics(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
+def cmd_asymptotics(cfg: dict, out: str, seed: int, quiet: bool) -> int:
     g, mask, demag, sched, solver = _build(cfg)
-    ladder = cfg.get("material", "epsilon_ladder")
+    ladder = cfg["material"]["epsilon_ladder"]
     if ladder is None:
         ladder = tuple(solver.epsilon * 0.5**i for i in range(4))
     plan = AsymptoticsPlan(
         eps_ladder=tuple(ladder), sched=sched,
         alpha=solver.alpha, T=solver.T,
-        perturbation=cfg.get("experiment", "perturbation"),
+        perturbation=cfg["experiment"]["perturbation"],
         seed=seed,
         integrator="projected-explicit" if g.is_macrospin
         else solver.integrator,
-        relax_tol=cfg.get("experiment", "relax_tol"),
-        relax_max_T=cfg.get("experiment", "relax_max_t"),
+        relax_tol=cfg["experiment"]["relax_tol"],
+        relax_max_T=cfg["experiment"]["relax_max_t"],
     )
     result = run_asymptotics(plan, g, mask, demag)
     for eps, rec in result["records"].items():
@@ -164,16 +156,16 @@ def cmd_asymptotics(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
     return 0
 
 
-def cmd_hysteresis(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
+def cmd_hysteresis(cfg: dict, out: str, seed: int, quiet: bool) -> int:
     # an unset key takes the plan's default, which makes the sweep adiabatic
-    plan_keys = {"period": cfg.get("experiment", "period"),
-                 "epsilon": cfg.get("material", "epsilon"),
-                 "dt": cfg.get("solver", "dt")}
+    plan_keys = {"period": cfg["experiment"]["period"],
+                 "epsilon": cfg["material"]["epsilon"],
+                 "dt": cfg["solver"]["dt"]}
     plan = HysteresisPlan(
         ellipsoid=_tensor_shape(cfg),
-        lam_max=cfg.get("experiment", "lam_max"),
-        alpha=cfg.get("material", "alpha"),
-        tensor_resolution=cfg.get("experiment", "tensor_resolution"),
+        lam_max=cfg["experiment"]["lam_max"],
+        alpha=cfg["material"]["alpha"],
+        tensor_resolution=cfg["experiment"]["tensor_resolution"],
         **{k: v for k, v in plan_keys.items() if v is not None})
     result = run_hysteresis(plan)
     _write(os.path.join(out, "hysteresis_loop.csv"), table_to_csv({
@@ -188,17 +180,16 @@ def cmd_hysteresis(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
     return 0
 
 
-def cmd_dissipation_scan(cfg: RunConfig, out: str, seed: int,
-                         quiet: bool) -> int:
+def cmd_dissipation_scan(cfg: dict, out: str, seed: int, quiet: bool) -> int:
     D = _tensor(cfg)
     evals, evecs = np.linalg.eigh(D)
     u = evecs[:, 0]
     g = Grid3(1, 1, 1)
     mask = DomainMask.full(g)
     result = dissipation_scan(
-        D, u, cfg.get("experiment", "lambda_grid"),
-        cfg.get("material", "alpha"), cfg.get("experiment", "s"),
-        cfg.get("experiment", "n_samples"), g, mask, seed=seed)
+        D, u, cfg["experiment"]["lambda_grid"],
+        cfg["material"]["alpha"], cfg["experiment"]["s"],
+        cfg["experiment"]["n_samples"], g, mask, seed=seed)
     rows = result["rows"]
     _write(os.path.join(out, "dissipation_scan.csv"), table_to_csv({
         "lambda": [r["lam"] for r in rows],
@@ -212,47 +203,6 @@ def cmd_dissipation_scan(cfg: RunConfig, out: str, seed: int,
     return 0
 
 
-def cmd_demag_selftest(cfg: RunConfig, out: str, seed: int,
-                       quiet: bool) -> int:
-    res = cfg.get("experiment", "tensor_resolution")
-    D = demag_tensor_estimate(_UNIT_SPHERE, res)
-    trace = float(np.trace(D))
-    diag_err = float(np.max(np.abs(np.diag(D) - 1.0 / 3.0)))
-    off = float(np.max(np.abs(D - np.diag(np.diag(D)))))
-    _write(os.path.join(out, "demag_selftest.csv"), table_to_csv({
-        "resolution": [res], "trace": [trace],
-        "max_diag_error": [diag_err], "max_offdiag": [off]}), quiet)
-    ok = abs(trace - 1.0) < 0.05 and off < 1e-3
-    if not quiet:
-        print(f"trace={trace:.6f} diag_err={diag_err:.2e} offdiag={off:.2e} "
-              f"-> {'ok' if ok else 'FAIL'}")
-    return 0 if ok else 1
-
-
-def cmd_spectral_selftest(cfg: RunConfig, out: str, seed: int,
-                          quiet: bool) -> int:
-    g = Grid3(12, 10, 8, 0.1, 0.12, 0.15)
-    mask = DomainMask.full(g)
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(g.shape + (3,))
-    rows = []
-    for k in (8, 27, 64):
-        pu = project_Pk(u, k, g, mask)
-        commute = np.max(np.abs(
-            laplacian_neumann(pu, g, mask)
-            - project_Pk(laplacian_neumann(u, g, mask), k, g, mask)))
-        ortho = inner_products(pu, u - pu, g, mask)["l2"]
-        rows.append({"k": k, "commute_err": float(commute),
-                     "ortho_err": abs(float(ortho))})
-    _write(os.path.join(out, "spectral_selftest.csv"), table_to_csv(
-        {name: [r[name] for r in rows] for name in rows[0]}), quiet)
-    ok = all(r["commute_err"] < 1e-10 and r["ortho_err"] < 1e-10
-             for r in rows)
-    if not quiet:
-        print("ok" if ok else "FAIL")
-    return 0 if ok else 1
-
-
 def _read_record_csv(path: str) -> dict[str, np.ndarray]:
     with open(path) as f:
         header = f.readline().strip()
@@ -263,7 +213,7 @@ def _read_record_csv(path: str) -> dict[str, np.ndarray]:
     return {name: data[:, i] for i, name in enumerate(names)}
 
 
-def cmd_plot(cfg: RunConfig, out: str, seed: int, quiet: bool) -> int:
+def cmd_plot(cfg: dict, out: str, seed: int, quiet: bool) -> int:
     records = {}
     for p in sorted(glob.glob(os.path.join(out, "*.csv"))):
         try:
@@ -292,8 +242,6 @@ _COMMANDS = {
     "asymptotics": cmd_asymptotics,
     "hysteresis": cmd_hysteresis,
     "dissipation-scan": cmd_dissipation_scan,
-    "demag-selftest": cmd_demag_selftest,
-    "spectral-selftest": cmd_spectral_selftest,
     "plot": cmd_plot,
 }
 
@@ -308,7 +256,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # argparse: 0 after --help, 2 on a usage error
+        return 1 if e.code else 0
 
     try:
         if args.config is not None:

@@ -4,7 +4,6 @@ schema and strict validation."""
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,27 +96,9 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated, fully defaulted configuration (values are primitives and
-    tuples so equality is exact)."""
-
-    values: tuple[tuple[str, tuple[tuple[str, object], ...]], ...]
-
-    def get(self, section: str, key: str):
-        return dict(dict(self.values)[section])[key]
-
-    @staticmethod
-    def from_dict(d: dict[str, dict[str, object]]) -> "RunConfig":
-        return RunConfig(tuple(
-            (sec, tuple(sorted(d[sec].items()))) for sec in sorted(d)))
-
-    def to_dict(self) -> dict[str, dict[str, object]]:
-        return {sec: dict(kv) for sec, kv in self.values}
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate; raises ConfigError listing every problem found."""
+def parse_config(text: str) -> dict[str, dict[str, object]]:
+    """Parse and validate into {section: {key: value}} with every schema key
+    set; raises ConfigError listing every problem found."""
     cp = configparser.ConfigParser(strict=True, interpolation=None)
     errors: list[str] = []
     try:
@@ -152,7 +133,7 @@ def parse_config(text: str) -> RunConfig:
     _validate(out, errors)
     if errors:
         raise ConfigError(errors)
-    return RunConfig.from_dict(out)
+    return out
 
 
 def _validate(v: dict[str, dict[str, object]], errors: list[str]) -> None:

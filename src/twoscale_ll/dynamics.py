@@ -197,9 +197,17 @@ def step(t: float, m: np.ndarray, dt: float, cfg: SolverConfig, g: Grid3,
     """One time step; always returns a unit field on the mask.
 
     semi-implicit-spectral solves in the cosine basis of the box, so it
-    raises ModeMismatchError on a masked domain. One cell steps in floats:
-    there Lap = 0, F = eps ll_rhs, and the cosine solve only divides by
-    the shift eps/dt, so both integrators end with m + dt k.
+    raises ModeMismatchError on a masked domain. It treats beta Lap
+    implicitly and the exchange precession m ^ Lap m inside F explicitly;
+    a mode with Lap = -mu and z = mu dt/eps is amplified by
+    |1 + (beta - alpha) z +- i z| / (1 + beta z), which is at most 1 for
+    every z iff beta >= (1 + alpha^2) / (2 alpha). So beta = alpha for
+    alpha >= 1; below 1 the shift beta > alpha keeps the step stable, at a
+    first-order error that grows with (beta - alpha) z.
+
+    One cell steps in floats: there Lap = 0, F = eps ll_rhs, and the
+    cosine solve only divides by the shift eps/dt, so both integrators end
+    with m + dt k.
     """
     if g.is_macrospin:
         k = ll_rhs(t, m, cfg, g, mask, demag, sched).ravel().tolist()
@@ -218,11 +226,15 @@ def step(t: float, m: np.ndarray, dt: float, cfg: SolverConfig, g: Grid3,
         k2 = ll_rhs(t + 0.5 * dt, mh, cfg, g, mask, demag, sched)
         out = m + dt * k2
     else:
-        # (eps/dt - alpha Lap) m+ = (eps/dt) m + F(t, m)
+        # (eps/dt - beta Lap) m+ = (eps/dt) m + F(t, m) - (beta - alpha) Lap m
         require_full_box(mask, "the semi-implicit-spectral integrator")
+        alpha = cfg.alpha
+        beta = alpha if alpha >= 1.0 else (1.0 + alpha**2) / (2.0 * alpha)
         rhs = (cfg.epsilon / dt) * m \
             + parabolic_rhs_F(t, m, cfg, g, mask, demag, sched)
-        out = _cosine_solve(rhs, cfg.epsilon / dt, cfg.alpha, g, mask)
+        if beta > alpha:
+            rhs -= (beta - alpha) * laplacian_neumann(m, g, mask)
+        out = _cosine_solve(rhs, cfg.epsilon / dt, beta, g, mask)
     if not np.all(np.isfinite(out)):
         raise BlowUpError(t + dt)
     return normalize_pointwise(out, mask)

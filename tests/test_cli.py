@@ -36,15 +36,6 @@ def _write_cfg(tmp_path, text):
     return str(p)
 
 
-def test_demag_selftest_exit_zero(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, "[experiment]\ntensor_resolution = 24\n")
-    rc = cli.main(["demag-selftest", "--config", cfg,
-                   "--out", str(tmp_path)])
-    assert rc == 0
-    assert os.path.exists(tmp_path / "demag_selftest.csv")
-    assert "ok" in capsys.readouterr().out
-
-
 @pytest.mark.parametrize("command, section, key, value", [
     # steps always renormalize; the old opt-out key is unknown
     ("evolve", "solver", "renormalize", "false"),
@@ -63,10 +54,18 @@ def test_renormalize_key_rejected(tmp_path, capsys, command, section, key,
         capsys.readouterr().err
 
 
-def test_spectral_selftest_exit_zero(tmp_path):
-    rc = cli.main(["spectral-selftest", "--out", str(tmp_path), "--quiet"])
-    assert rc == 0
-    assert os.path.exists(tmp_path / "spectral_selftest.csv")
+@pytest.mark.parametrize("argv, message", [
+    (["demag-selftest"], "invalid choice: 'demag-selftest'"),
+    (["spectral-selftest"], "invalid choice: 'spectral-selftest'"),
+    (["relax", "--seed", "x"], "invalid int value: 'x'"),
+    (["relax", "--bogus"], "unrecognized arguments: --bogus"),
+], ids=["demag-selftest", "spectral-selftest", "seed-x", "bogus-flag"])
+def test_usage_error_exit_one(capsys, argv, message):
+    # exit code 2 is kept for a numerical blow-up
+    assert cli.main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert cli.main(["--help"]) == 0
+    assert "dissipation-scan" in capsys.readouterr().out
 
 
 def test_bad_config_exit_one_lists_errors(tmp_path, capsys):
@@ -275,6 +274,40 @@ def test_asymptotics_box_macrospin_writes_ladder(tmp_path, capsys):
     assert np.all(np.diff(s["sup_dist_after_tau"]) < 0)
 
 
+def test_asymptotics_on_a_grid_below_alpha_one(tmp_path):
+    # the grid semi-implicit step at alpha = 0.5 and dt/eps = 0.02: the
+    # unshifted step exits 0 with sup distances near 200
+    cfg = _write_cfg(tmp_path, """
+[grid]
+nx = 8
+ny = 8
+nz = 8
+hx = 0.125
+hy = 0.125
+hz = 0.125
+
+[material]
+alpha = 0.5
+epsilon_ladder = 0.1, 0.05
+
+[field]
+knots = 0:5, 10:5
+direction = 0, 0, 1
+rotate_to = 1, 0, 0
+omega = 0.5
+
+[solver]
+t_final = 1
+
+[experiment]
+relax_tol = 1e-6
+""")
+    rc = cli.main(["asymptotics", "--config", cfg, "--out", str(tmp_path),
+                   "--quiet"])
+    assert rc == 0
+    assert np.all(_summary(tmp_path)["sup_dist_after_tau"] < 0.05)
+
+
 ONE_CELL_ELLIPSOID_CFG = MACROSPIN_CFG.replace(
     "direction = 0, 0, 1", "direction = 1, 0, 1") + """
 [domain]
@@ -291,7 +324,7 @@ tensor_resolution = 16
 def test_asymptotics_ladder_without_epsilon(tmp_path):
     # an unset material.epsilon is 0.1 for the grid commands
     text = MACROSPIN_CFG.replace("epsilon = 0.1\n", "")
-    assert parse_config(text).get("material", "epsilon") is None
+    assert parse_config(text)["material"]["epsilon"] is None
     cfg = _write_cfg(tmp_path, text)
     rc = cli.main(["asymptotics", "--config", cfg, "--out", str(tmp_path),
                    "--quiet"])

@@ -42,35 +42,35 @@ lam_max = 0.6
 
 def test_parse_good_config():
     cfg = parse_config(GOOD)
-    assert cfg.get("grid", "nx") == 16
-    assert cfg.get("grid", "hx") == 0.0625
-    assert cfg.get("domain", "shape") == "ellipsoid"
-    assert cfg.get("material", "epsilon_ladder") == (0.2, 0.1, 0.05)
-    assert cfg.get("field", "knots") == ((0.0, 1.0), (2.0, 3.0))
-    assert cfg.get("field", "direction") == (0.0, 0.0, 1.0)
-    assert cfg.get("solver", "integrator") == "projected-explicit"
+    assert cfg["grid"]["nx"] == 16
+    assert cfg["grid"]["hx"] == 0.0625
+    assert cfg["domain"]["shape"] == "ellipsoid"
+    assert cfg["material"]["epsilon_ladder"] == (0.2, 0.1, 0.05)
+    assert cfg["field"]["knots"] == ((0.0, 1.0), (2.0, 3.0))
+    assert cfg["field"]["direction"] == (0.0, 0.0, 1.0)
+    assert cfg["solver"]["integrator"] == "projected-explicit"
     # unset sections take schema defaults
-    assert cfg.get("experiment", "period") is None
-    assert cfg.get("solver", "dt") is None
+    assert cfg["experiment"]["period"] is None
+    assert cfg["solver"]["dt"] is None
 
 
 def test_defaults_only():
     cfg = parse_config("")
-    assert cfg.get("grid", "nx") == 1
-    assert cfg.get("material", "epsilon") is None
-    assert cfg.get("domain", "shape") == "box"
+    assert cfg["grid"]["nx"] == 1
+    assert cfg["material"]["epsilon"] is None
+    assert cfg["domain"]["shape"] == "box"
 
 
 def test_study_defaults_are_the_plans():
     # one default per setting: tsll runs what a library caller gets
     cfg = parse_config("")
-    assert cfg.get("experiment", "perturbation") == \
+    assert cfg["experiment"]["perturbation"] == \
         AsymptoticsPlan.perturbation
-    assert cfg.get("experiment", "relax_tol") == AsymptoticsPlan.relax_tol \
+    assert cfg["experiment"]["relax_tol"] == AsymptoticsPlan.relax_tol \
         == 1e-8
-    assert cfg.get("experiment", "relax_max_t") == \
+    assert cfg["experiment"]["relax_max_t"] == \
         AsymptoticsPlan.relax_max_T
-    assert cfg.get("experiment", "tensor_resolution") == \
+    assert cfg["experiment"]["tensor_resolution"] == \
         HysteresisPlan.tensor_resolution
 
 
@@ -148,7 +148,7 @@ def test_bump_envelope_requires_radius():
     with pytest.raises(ConfigError):
         parse_config("[field]\nenvelope = bump\n")
     cfg = parse_config("[field]\nenvelope = bump\nbump_radius = 0.4\n")
-    assert cfg.get("field", "bump_radius") == 0.4
+    assert cfg["field"]["bump_radius"] == 0.4
 
 
 @pytest.mark.parametrize("text, message", [

@@ -31,6 +31,7 @@ from twoscale_ll.grid import (
     cross3,
     dot3,
     grad_dot,
+    inner_products,
     laplacian_neumann,
     neumann_eigenvalues,
     norm_l2,
@@ -145,6 +146,50 @@ def test_semi_implicit_step_rejects_masked_domain(static_field):
     with pytest.raises(ModeMismatchError):
         step(0.0, up_field(g, mask), cfg.dt, cfg, g, mask,
              FftDemag.for_grid(g), static_field)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_semi_implicit_step_unshifted_for_alpha_at_least_one(static_field,
+                                                            alpha):
+    # (eps/dt - alpha Lap) m+ = (eps/dt) m + F(t, m), to the last bit
+    g, mask, demag = _box8()
+    cfg = SolverConfig(epsilon=0.1, alpha=alpha, T=1.0, dt=2e-3)
+    s = cfg.epsilon / cfg.dt
+    m = random_unit_field(g, mask, 5)
+    rhs = s * m + parabolic_rhs_F(0.0, m, cfg, g, mask, demag, static_field)
+    fr = scipy.fft.dctn(rhs, type=2, norm="ortho", axes=(0, 1, 2))
+    want = normalize_pointwise(scipy.fft.idctn(
+        fr / (s + alpha * neumann_eigenvalues(g))[..., None], type=2,
+        norm="ortho", axes=(0, 1, 2)), mask)
+    out = step(0.0, m, cfg.dt, cfg, g, mask, demag, static_field)
+    assert np.array_equal(out, want)
+
+
+def test_semi_implicit_step_below_alpha_one_converges_to_first_order(
+        static_field):
+    # alpha = 0.5: the unshifted step amplifies the top modes of 8^3 for
+    # dt/eps above 0.0018 and ends in noise; the shifted one meets the
+    # explicit run with an H2 distance that halves with dt
+    g, mask, demag = _box8()
+    m_eq = up_field(g, mask)
+    m0 = normalize_pointwise(
+        m_eq + sample_admissible_perturbation(m_eq, 0.3, 2, g, mask), mask)
+    eps, alpha, T = 0.1, 0.5, 0.05
+
+    def final(integrator, dt=None):
+        cfg = SolverConfig(epsilon=eps, alpha=alpha, T=T,
+                           integrator=integrator, dt=dt)
+        return integrate(m0, cfg, g, mask, demag, static_field,
+                         sample_every=10**6)[1]
+
+    ref = final("projected-explicit")
+    dist = []
+    for dt_over_eps in (0.01, 0.005, 0.0025):
+        d = final("semi-implicit-spectral", dt_over_eps * eps) - ref
+        dist.append(np.sqrt(inner_products(d, d, g, mask)["h2"]))
+    assert dist[-1] < 0.03
+    for coarse, fine in zip(dist, dist[1:]):
+        assert 1.8 < coarse / fine < 3.0
 
 
 def test_precession_conserves_field_projection(macrospin, sphere_tensor):
