@@ -87,9 +87,12 @@ def _build(cfg: dict):
         envelope = ConstantEnvelope()
     sched = FieldSchedule(np.asarray(f["knots"]), direction, envelope)
     eps = cfg["material"]["epsilon"]  # unset: 0.1 (hysteresis: the plan's)
+    # the cosine-basis step where that basis holds, else the midpoint rule
+    spectral = mask.is_full_box and not g.is_macrospin
     solver = SolverConfig(epsilon=0.1 if eps is None else eps,
                           alpha=cfg["material"]["alpha"], T=s["t_final"],
-                          integrator=s["integrator"], dt=s["dt"])
+                          integrator="semi-implicit-spectral" if spectral
+                          else "projected-explicit", dt=s["dt"])
     return g, mask, demag, sched, solver
 
 
@@ -136,8 +139,7 @@ def cmd_asymptotics(cfg: dict, out: str, seed: int, quiet: bool) -> int:
         alpha=solver.alpha, T=solver.T,
         perturbation=cfg["experiment"]["perturbation"],
         seed=seed,
-        integrator="projected-explicit" if g.is_macrospin
-        else solver.integrator,
+        integrator=solver.integrator,
         relax_tol=cfg["experiment"]["relax_tol"],
         relax_max_T=cfg["experiment"]["relax_max_t"],
     )

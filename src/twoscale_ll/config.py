@@ -77,7 +77,6 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "bump_center": ("vec3", None),
     },
     "solver": {
-        "integrator": ("str", "semi-implicit-spectral"),
         "dt": ("float", None),
         "t_final": ("float", 1.0),
         "sample_every": ("int", 1),
@@ -168,10 +167,6 @@ def _validate(v: dict[str, dict[str, object]], errors: list[str]) -> None:
         errors.append("solver.dt must be > 0")
     if v["solver"]["t_final"] < 0:
         errors.append("solver.t_final must be >= 0")
-    if v["solver"]["integrator"] not in ("projected-explicit",
-                                         "semi-implicit-spectral"):
-        errors.append("solver.integrator must be projected-explicit or "
-                      "semi-implicit-spectral")
     if v["field"]["envelope"] not in ("constant", "bump"):
         errors.append("field.envelope must be constant or bump")
     if v["field"]["envelope"] == "bump" and v["field"]["bump_radius"] is None:

@@ -59,13 +59,18 @@ class SolverConfig:
 
 
 def resolve_dt(cfg: SolverConfig, g: Grid3) -> float:
-    """Fixed dt if given, else for explicit runs the diffusion-CFL step
-    0.2 eps h^2 / (6 alpha), finest h, shortened to divide T when T > 0."""
+    """Fixed dt if given, else for explicit runs the step
+    0.2 eps h^2 / (6 max(alpha, alpha^(-1/3))), finest h, shortened to
+    divide T when T > 0. The midpoint rule amplifies a mode Lap = -mu by
+    |1 + z + z^2/2|, z = (dt/eps) mu (-alpha + i), mu <= 12 / h^2. The
+    region where that is <= 1 meets the imaginary axis only at 0, so below
+    alpha = 1 the precession, not the diffusion, bounds |z|, as alpha^(1/3)."""
     if cfg.dt is not None:
         return cfg.dt
     if cfg.integrator == "projected-explicit" and not g.is_macrospin:
         h2 = min(h**2 for h, n in zip(g.spacings, g.shape) if n > 1)
-        dt = 0.2 * cfg.epsilon * h2 / (6.0 * cfg.alpha)
+        a = cfg.alpha
+        dt = 0.2 * cfg.epsilon * h2 / (6.0 * max(a, a ** (-1.0 / 3.0)))
         return cfg.T / ceil(cfg.T / dt) if cfg.T > 0 else dt
     raise ValueError("dt must be set: there is no default step on a "
                      "one-cell grid or for semi-implicit-spectral")

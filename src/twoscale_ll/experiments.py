@@ -4,7 +4,7 @@ of time-scale ratios, and macrospin hysteresis loops."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy  # scipy.integrate loads on first use, in run_hysteresis only
@@ -18,6 +18,7 @@ from .dynamics import (
     _n_steps,
     integrate,
     relax_to_equilibrium,
+    resolve_dt,
 )
 from .grid import DomainMask, EllipsoidSpec, Grid3, constant_field
 from .linearization import sample_admissible_perturbation
@@ -106,7 +107,20 @@ def run_asymptotics(plan: AsymptoticsPlan, g: Grid3, mask: DomainMask,
     The reference is u(t) where that is the equilibrium exactly, on one
     cell with a tensor demag D = d I, unless plan.analytic_equilibrium is
     False; everywhere else it is relaxed from the previous one.
+
+    On a grid of more than one cell, a projected-explicit rung whose step
+    exceeds resolve_dt's default explicit step raises ValueError naming
+    the rung, before any relaxation.
     """
+    for eps in plan.eps_ladder:
+        cfg, _ = _rung(plan, eps)
+        if cfg.integrator == "projected-explicit" and not g.is_macrospin:
+            limit = resolve_dt(replace(cfg, dt=None), g)
+            # the tolerance of _n_steps: dt_over_eps = limit / eps gives
+            # back a dt one ulp above the limit for some eps
+            if cfg.dt > limit * (1.0 + 1e-9):
+                raise ValueError(f"eps = {eps}: dt = {cfg.dt:g} exceeds the "
+                                 f"stable explicit step {limit:g}")
     analytic = plan.analytic_equilibrium and g.is_macrospin \
         and isinstance(demag, TensorDemag) \
         and np.array_equal(demag.D, demag.D[0][0] * np.eye(3))

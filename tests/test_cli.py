@@ -23,7 +23,6 @@ knots = 0.0:0.7, 1000.0:0.7
 direction = 0, 0, 1
 
 [solver]
-integrator = projected-explicit
 dt = 0.01
 t_final = 0.5
 sample_every = 10
@@ -39,11 +38,14 @@ def _write_cfg(tmp_path, text):
 @pytest.mark.parametrize("command, section, key, value", [
     # steps always renormalize; the old opt-out key is unknown
     ("evolve", "solver", "renormalize", "false"),
+    # the domain picks the integrator
+    ("evolve", "solver", "integrator", "projected-explicit"),
     # the layer-exit factor, field tilt and warm-up are module constants
     ("asymptotics", "experiment", "threshold_factor", "0"),
     ("hysteresis", "experiment", "field_tilt", "1.6"),
     ("hysteresis", "experiment", "warmup_periods", "-1"),
-], ids=["solver.renormalize", "experiment.threshold_factor",
+], ids=["solver.renormalize", "solver.integrator",
+        "experiment.threshold_factor",
         "experiment.field_tilt", "experiment.warmup_periods"])
 def test_renormalize_key_rejected(tmp_path, capsys, command, section, key,
                                   value):
@@ -214,16 +216,37 @@ def test_hysteresis_without_config_is_adiabatic(tmp_path):
     assert s["loop_area"][0] < 0.1
 
 
-def test_evolve_rejects_spectral_solve_on_ellipsoid(tmp_path, capsys):
-    # the default integrator solves in the cosine basis of the full box
+def test_evolve_on_ellipsoid_steps_explicitly(tmp_path, monkeypatch):
+    # the cosine basis holds on the full box only, so a mask takes the
+    # midpoint rule
+    configs = []
+    run = cli.integrate
+
+    def spy(m0, solver, *args, **kwargs):
+        configs.append(solver)
+        return run(m0, solver, *args, **kwargs)
+    monkeypatch.setattr(cli, "integrate", spy)
     cfg = _write_cfg(tmp_path, ELLIPSOID_8_CFG
                      + "\n[solver]\ndt = 0.001\nt_final = 0.01\n")
     rc = cli.main(["evolve", "--config", cfg, "--out", str(tmp_path),
                    "--quiet"])
+    assert rc == 0
+    assert [c.integrator for c in configs] == ["projected-explicit"]
+    assert len((tmp_path / "evolve.csv").read_text().splitlines()) == 12
+
+
+def test_asymptotics_on_ellipsoid_refuses_the_default_ladder(
+        tmp_path, capsys, monkeypatch):
+    # dt/eps = 0.02 is far above the explicit step the mask needs
+    calls = []
+    monkeypatch.setattr(experiments, "relax_to_equilibrium",
+                        lambda *args: calls.append(args))
+    cfg = _write_cfg(tmp_path, ELLIPSOID_8_CFG)
+    rc = cli.main(["asymptotics", "--config", cfg, "--out", str(tmp_path),
+                   "--quiet"])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert "semi-implicit-spectral" in err
-    assert "full-box" in err
+    assert "error: eps = 0.1: dt = 0.002 exceeds" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_dissipation_scan_reports_threshold(tmp_path, capsys):
@@ -397,7 +420,8 @@ relax_tol = 1e-6
 
 
 def test_asymptotics_on_a_grid(tmp_path, capsys, monkeypatch):
-    # a grid runs the configured integrator against a relaxed reference
+    # the box runs the cosine-basis step against a relaxed reference; one
+    # cell runs the midpoint rule
     plans = []
     run = cli.run_asymptotics
 
@@ -414,6 +438,10 @@ def test_asymptotics_on_a_grid(tmp_path, capsys, monkeypatch):
     s = _summary(tmp_path)
     assert np.allclose(s["eps"], [0.1, 0.05, 0.025, 0.0125])
     assert np.all(np.diff(s["sup_dist_after_tau"]) < 0)
+    cfg = _write_cfg(tmp_path, MACROSPIN_CFG)
+    assert cli.main(["asymptotics", "--config", cfg, "--out",
+                     str(tmp_path / "one_cell"), "--quiet"]) == 0
+    assert plans[1].integrator == "projected-explicit"
 
 
 def test_plot_without_records_exit_one(tmp_path, capsys):
@@ -520,7 +548,6 @@ rotate_to = 1, 0, 0
 omega = 0.5
 
 [solver]
-integrator = projected-explicit
 t_final = 0.5
 """)
     assert cli.main(["asymptotics", "--config", cfg, "--out", str(tmp_path),

@@ -31,7 +31,6 @@ direction = 0, 0, 1
 envelope = constant
 
 [solver]
-integrator = projected-explicit
 t_final = 0.5
 sample_every = 10
 
@@ -48,7 +47,7 @@ def test_parse_good_config():
     assert cfg["material"]["epsilon_ladder"] == (0.2, 0.1, 0.05)
     assert cfg["field"]["knots"] == ((0.0, 1.0), (2.0, 3.0))
     assert cfg["field"]["direction"] == (0.0, 0.0, 1.0)
-    assert cfg["solver"]["integrator"] == "projected-explicit"
+    assert "integrator" not in cfg["solver"]  # the domain picks it
     # unset sections take schema defaults
     assert cfg["experiment"]["period"] is None
     assert cfg["solver"]["dt"] is None
@@ -154,9 +153,7 @@ def test_bump_envelope_requires_radius():
 @pytest.mark.parametrize("text, message", [
     ("[solver]\ndt = 0\n", "solver.dt must be > 0"),
     ("[solver]\nt_final = -1\n", "solver.t_final must be >= 0"),
-    ("[solver]\nintegrator = rk4\n",
-     "solver.integrator must be projected-explicit or "
-     "semi-implicit-spectral"),
+    ("[solver]\nintegrator = rk4\n", "unknown key solver.integrator"),
     ("[field]\nenvelope = gauss\n", "field.envelope must be constant or bump"),
     ("[domain]\nshape = cube\n", "domain.shape must be box or ellipsoid"),
     ("[grid]\nnx = 2\n[grid]\nny = 2\n", "duplicate section grid"),

@@ -1,5 +1,7 @@
 """Time integration: field assembly, step properties, energy, relaxation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -75,6 +77,36 @@ def test_resolve_dt_policy():
     dt = resolve_dt(short, g)
     assert dt <= 0.2 * 0.2 * 0.01 / 6.0
     assert short.T / dt == pytest.approx(round(short.T / dt), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 0.01, 0.1, 0.25, 0.5, 1.0, 2.0,
+                                   10.0])
+def test_default_explicit_step_is_stable_for_every_alpha(alpha):
+    # the midpoint rule amplifies a mode with Lap = -mu by |1 + z + z^2/2|,
+    # z = (dt/eps) mu (-alpha + i); a step 0.2 eps h^2 / (6 alpha) amplifies
+    # the top mode of 8^3 for alpha <= 0.25 (7.1 at alpha = 0.1)
+    g = Grid3(8, 8, 8, 1 / 8, 1 / 8, 1 / 8)
+    mu = float(np.max(neumann_eigenvalues(g)))
+    cfg = SolverConfig(epsilon=0.1, alpha=alpha, T=0.0,
+                       integrator="projected-explicit")
+    z = resolve_dt(cfg, g) / cfg.epsilon * mu * complex(-alpha, 1.0)
+    assert abs(1.0 + z + z * z / 2.0) <= 1.0
+
+
+def test_default_explicit_step_converges_at_small_alpha(static_field):
+    # alpha = 0.1: the default step and its half agree to O(dt^2); with a
+    # step 0.2 eps h^2 / (6 alpha) the two end about 250 (H2) apart
+    g, mask, demag = _box8()
+    m_eq = up_field(g, mask)
+    m0 = normalize_pointwise(
+        m_eq + sample_admissible_perturbation(m_eq, 0.3, 2, g, mask), mask)
+    cfg = SolverConfig(epsilon=0.1, alpha=0.1, T=0.01,
+                       integrator="projected-explicit")
+    dt = resolve_dt(cfg, g)
+    runs = [integrate(m0, replace(cfg, dt=d), g, mask, demag, static_field,
+                      sample_every=10**6)[1] for d in (dt, dt / 2)]
+    d = runs[0] - runs[1]
+    assert np.sqrt(inner_products(d, d, g, mask)["h2"]) < 0.01
 
 
 def test_run_record_validation():

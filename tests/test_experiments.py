@@ -104,6 +104,21 @@ def test_asymptotics_relaxes_the_reference_unless_u_is_exact(monkeypatch):
         assert row["reference_converged"]
 
 
+def test_asymptotics_refuses_an_unstable_explicit_ladder(monkeypatch):
+    # the plan's defaults, explicit at dt/eps = 0.02, take 2e-3 on 8^3 at
+    # eps = 0.1, far above the default explicit step 5.2e-5 there; refused
+    # before any relaxation
+    calls = []
+    monkeypatch.setattr(experiments, "relax_to_equilibrium",
+                        lambda *args: calls.append(args))
+    g = Grid3(8, 8, 8, 1 / 8, 1 / 8, 1 / 8)
+    plan = AsymptoticsPlan((0.1, 0.05), FieldSchedule.constant(
+        1.0, (0.0, 0.0, 1.0)), alpha=1.0, T=1.0)
+    with pytest.raises(ValueError, match="eps = 0.1: dt = 0.002 exceeds"):
+        run_asymptotics(plan, g, DomainMask.full(g), FftDemag.for_grid(g))
+    assert calls == []
+
+
 def test_asymptotics_zero_perturbation_tracks_equilibrium():
     # starting exactly on the moving equilibrium, tracking error stays small
     g = Grid3(1, 1, 1)
