@@ -163,6 +163,8 @@ def _validate(v: dict[str, dict[str, object]], errors: list[str]) -> None:
                           "shape = ellipsoid")
         elif not (abc[0] >= abc[1] >= abc[2] > 0):
             errors.append("domain semi-axes must satisfy a >= b >= c > 0")
+    if v["experiment"]["tensor_resolution"] < 16:
+        errors.append("experiment.tensor_resolution must be >= 16")
     if v["solver"]["dt"] is not None and v["solver"]["dt"] <= 0:
         errors.append("solver.dt must be > 0")
     if v["solver"]["t_final"] < 0:

@@ -194,29 +194,42 @@ def demag_tensor_estimate(e: EllipsoidSpec, resolution: int) -> np.ndarray:
 
     The padding factor is 4 here (above the operator's 2x minimum): at 2x
     around the tight bounding box the bias would dominate the estimate.
+
+    The sum runs one kz plane at a time, from one z transform of the n^2
+    data lines, so no array of the padded box's size is built: the largest
+    are that transform's zero-padded input and output, about 32 n^3 bytes
+    each, and the transform runs about 11 n^2 lines of 4n.
     """
     if resolution < 16:
         raise ValueError("resolution must be >= 16")
-    n = resolution
+    n, npad = resolution, 4 * resolution
     g = Grid3(n, n, n, 2 * e.a / n, 2 * e.b / n, 2 * e.c / n)
     chi = DomainMask.ellipsoid(g, e).inside
-    model = FftDemag.for_grid(g, 4)
-    (kx, ky, kz), k2 = model._spectrum
-    fc = scipy.fft.rfftn(chi.astype(float), s=model.padded_shape)
-    p = fc.real**2 + fc.imag**2
-    del fc
-    # inner kz planes stand for their mirror images too (4n is even)
-    p[..., 1:-1] *= 2.0
-    p /= k2
-    p[0, 0, 0] = 0.0
-    # the three 2-D marginals of p carry every entry of D
-    pxy, pxz, pyz = p.sum(axis=2), p.sum(axis=1), p.sum(axis=0)
-    kx, ky, kz = kx.ravel(), ky.ravel(), kz.ravel()
+    kx, ky = np.fft.fftfreq(npad, d=g.hx), np.fft.fftfreq(npad, d=g.hy)
+    kz = np.fft.rfftfreq(npad, d=g.hz)
+    kxy2 = kx[:, None]**2 + ky**2
+    fz = scipy.fft.rfft(chi.astype(float), n=npad, axis=2)
+    # the three 2-D marginals of p = |chi^|^2 / |k|^2 carry every entry of D
+    pxy = np.zeros((npad, npad))
+    pxz, pyz = np.empty((npad, kz.size)), np.empty((npad, kz.size))
+    for j in range(kz.size):
+        f = scipy.fft.fft(scipy.fft.fft(fz[..., j], n=npad, axis=1),
+                          n=npad, axis=0)
+        k2 = kxy2 + kz[j]**2
+        if j == 0:
+            k2[0, 0] = np.inf  # drops the zero mode
+        p = f.real**2 + f.imag**2
+        p /= k2
+        # inner kz planes stand for their mirror images too (4n is even)
+        if 0 < j < kz.size - 1:
+            p *= 2.0
+        pxy += p
+        pxz[:, j], pyz[:, j] = p.sum(axis=1), p.sum(axis=0)
     dxy, dxz, dyz = kx @ pxy @ ky, kx @ pxz @ kz, ky @ pyz @ kz
     D = np.array([[kx**2 @ pxy.sum(axis=1), dxy, dxz],
                   [dxy, ky**2 @ pxy.sum(axis=0), dyz],
                   [dxz, dyz, kz**2 @ pxz.sum(axis=0)]])
-    return D / (chi.sum() * np.prod(model.padded_shape))
+    return D / (chi.sum() * npad**3)
 
 
 def depolarization_tensor(e: EllipsoidSpec, resolution: int) -> np.ndarray:

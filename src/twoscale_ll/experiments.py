@@ -195,6 +195,8 @@ class HysteresisPlan:
             raise ValueError("sweep must cross both signs of lambda")
         if min(self.period, self.epsilon, self.alpha, self.dt) <= 0:
             raise ValueError("period, epsilon, alpha and dt must be > 0")
+        if self.tensor_resolution < 16:
+            raise ValueError("tensor_resolution must be >= 16")
 
 
 def _triangular_knots(lam_max: float, period: float,

@@ -159,8 +159,11 @@ def test_bump_envelope_requires_radius():
     ("[grid]\nnx = 2\n[grid]\nny = 2\n", "duplicate section grid"),
     ("nx = 2\n", "syntax error:"),
     ("[field]\nknots = ,\n", "invalid value for field.knots: empty knot list"),
+    ("[experiment]\ntensor_resolution = 8\n",
+     "experiment.tensor_resolution must be >= 16"),
 ], ids=["dt", "t_final", "integrator", "envelope", "shape",
-        "duplicate-section", "no-section", "empty-knots"])
+        "duplicate-section", "no-section", "empty-knots",
+        "tensor-resolution"])
 def test_each_error_branch_names_its_problem(text, message):
     with pytest.raises(ConfigError) as exc:
         parse_config(text)

@@ -1,5 +1,7 @@
 """Demagnetizing field operator and depolarization tensor estimates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -228,22 +230,44 @@ def test_tensor_estimate_prolate_ordering():
 @pytest.mark.parametrize("spec", [EllipsoidSpec(1.0, 0.8, 0.6),
                                   EllipsoidSpec(3.0, 1.0, 1.0)])
 def test_tensor_estimate_matches_the_operator(spec):
-    # reference: the body mean of -h_d(e_j) from the padded FFT operator
-    n = 16
-    g = Grid3(n, n, n, 2 * spec.a / n, 2 * spec.b / n, 2 * spec.c / n)
-    mask = DomainMask.ellipsoid(g, spec)
-    model = FftDemag.for_grid(g, 4)
-    R = np.zeros((3, 3))
-    for j in range(3):
-        h = demag_field(model, constant_field(g, np.eye(3)[j], mask), g, mask)
-        for i in range(3):
-            R[i, j] = -np.mean(h[..., i][mask.inside])
+    # reference: the body mean of -h_d(e_j) from the padded FFT operator;
+    # n = 20 pads to 80 points, which is not a power of two
+    for n in (16, 20):
+        g = Grid3(n, n, n, 2 * spec.a / n, 2 * spec.b / n, 2 * spec.c / n)
+        mask = DomainMask.ellipsoid(g, spec)
+        model = FftDemag.for_grid(g, 4)
+        R = np.zeros((3, 3))
+        for j in range(3):
+            m = constant_field(g, np.eye(3)[j], mask)
+            h = demag_field(model, m, g, mask)
+            for i in range(3):
+                R[i, j] = -np.mean(h[..., i][mask.inside])
+        D = demag_tensor_estimate(spec, n)
+        assert np.max(np.abs(D - R)) <= 1e-15
+        assert np.array_equal(D, D.T)
+        # the wrap-around bias: trace 1 - N_body / N_pad, exactly
+        n_body = int(np.count_nonzero(mask.inside))
+        assert abs(np.trace(D) - (1.0 - n_body / (4 * n) ** 3)) <= 1e-14
+
+
+def test_tensor_estimate_symmetric_with_its_trace_at_48():
+    spec, n = EllipsoidSpec(1.0, 0.8, 0.6), 48
     D = demag_tensor_estimate(spec, n)
-    assert np.max(np.abs(D - R)) <= 1e-15
     assert np.array_equal(D, D.T)
-    # the wrap-around bias: trace 1 - N_body / N_pad, exactly
-    n_body = int(np.count_nonzero(mask.inside))
+    g = Grid3(n, n, n, 2 * spec.a / n, 2 * spec.b / n, 2 * spec.c / n)
+    n_body = int(np.count_nonzero(DomainMask.ellipsoid(g, spec).inside))
     assert abs(np.trace(D) - (1.0 - n_body / (4 * n) ** 3)) <= 1e-14
+
+
+def test_tensor_estimate_never_builds_the_padded_spectrum():
+    # the (4n)^3 padded spectrum alone would take 17 MB at n = 32
+    tracemalloc.start()
+    try:
+        demag_tensor_estimate(EllipsoidSpec(3.0, 1.0, 1.0), 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_depolarization_tensor_rule():

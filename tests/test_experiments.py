@@ -190,9 +190,12 @@ def test_hysteresis_plan_validation():
     with pytest.raises(ValueError):
         HysteresisPlan(e, lam_max=0.0)
     # dt = 0 divided by zero and epsilon = 0 never returned from LSODA
-    for bad in ({"period": 0.0}, {"epsilon": 0.0}, {"alpha": 0.0},
-                {"dt": 0.0}):
-        with pytest.raises(ValueError, match="must be > 0"):
+    for bad, message in (({"period": 0.0}, "must be > 0"),
+                         ({"epsilon": 0.0}, "must be > 0"),
+                         ({"alpha": 0.0}, "must be > 0"),
+                         ({"dt": 0.0}, "must be > 0"),
+                         ({"tensor_resolution": 8}, "must be >= 16")):
+        with pytest.raises(ValueError, match=message):
             HysteresisPlan(e, lam_max=0.6, **bad)
 
 
