@@ -4,6 +4,7 @@ schema and strict validation."""
 from __future__ import annotations
 
 import configparser
+from math import isfinite
 
 import numpy as np
 
@@ -18,8 +19,15 @@ class ConfigError(ValueError):
         self.errors = errors
 
 
+def _parse_float(s: str) -> float:
+    x = float(s)
+    if not isfinite(x):
+        raise ValueError(f"{s.strip()} is not a finite number")
+    return x
+
+
 def _parse_floats(s: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in s.split(",") if p.strip())
+    return tuple(_parse_float(p) for p in s.split(",") if p.strip())
 
 
 def _parse_vec3(s: str) -> tuple[float, float, float]:
@@ -37,7 +45,7 @@ def _parse_knots(s: str) -> tuple[tuple[float, float], ...]:
         if not part:
             continue
         t, _, v = part.partition(":")
-        knots.append((float(t), float(v)))
+        knots.append((_parse_float(t), _parse_float(v)))
     if not knots:
         raise ValueError("empty knot list")
     return tuple(knots)
@@ -45,7 +53,7 @@ def _parse_knots(s: str) -> tuple[tuple[float, float], ...]:
 
 _PARSERS = {
     "int": int,
-    "float": float,
+    "float": _parse_float,
     "str": str,
     "floats": _parse_floats,
     "vec3": _parse_vec3,

@@ -97,6 +97,11 @@ class TensorDemag:
             raise ValueError("D must be positive definite")
         object.__setattr__(self, "D", D)
 
+    @cached_property
+    def rows(self) -> tuple[tuple[float, float, float], ...]:
+        """The rows of D as floats, for the one-cell field."""
+        return tuple(map(tuple, self.D.tolist()))
+
 
 DemagModel = FftDemag | TensorDemag
 

@@ -11,11 +11,12 @@ from typing import Callable
 import numpy as np
 import scipy.fft
 
-from .demag import DemagModel, demag_field
+from .demag import DemagModel, TensorDemag, demag_field
 from .grid import (
     DegenerateCellError,
     DomainMask,
     Grid3,
+    _check_field,
     apply_mask,
     cross3,
     dot3,
@@ -27,7 +28,7 @@ from .grid import (
     normalize_pointwise,
     require_full_box,
 )
-from .schedule import FieldSchedule, eval_h_ext
+from .schedule import FieldSchedule, _envelope_values, eval_h_ext
 
 
 class BlowUpError(RuntimeError):
@@ -50,11 +51,11 @@ class SolverConfig:
     dt: float | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.alpha <= 0 or self.T < 0:
+        if not (self.epsilon > 0 and self.alpha > 0 and self.T >= 0):
             raise ValueError("epsilon, alpha must be > 0 and T >= 0")
         if self.integrator not in ("projected-explicit", "semi-implicit-spectral"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
-        if self.dt is not None and self.dt <= 0:
+        if self.dt is not None and not self.dt > 0:
             raise ValueError("dt must be > 0")
 
 
@@ -149,13 +150,23 @@ def ll_rhs(t: float, m: np.ndarray, cfg: SolverConfig, g: Grid3,
            sched: FieldSchedule) -> np.ndarray:
     """(1/eps) [ m ^ h_T - alpha m ^ (m ^ h_T) ].
 
-    One cell has no interior face, so there h_T = h_d + h_ext exactly and
-    the torque is taken in floats.
+    One cell has no interior face, so there h_T = h_d + h_ext exactly, and
+    the field and the torque are taken in floats: h_d = -D m from a
+    TensorDemag's rows (an FftDemag still calls demag_field) and h_ext =
+    lambda(t) chi u(t).
     """
     if g.is_macrospin:
-        h = demag_field(demag, m, g, mask) + eval_h_ext(sched, t, g, mask)
-        return np.array(_ll_torque3(m.ravel().tolist(), h.ravel().tolist(),
-                                    cfg.alpha, cfg.epsilon)).reshape(m.shape)
+        _check_field(m, g)
+        m3 = m.ravel().tolist()
+        if isinstance(demag, TensorDemag):
+            m0, m1, m2 = m3
+            hd = [-(a * m0 + b * m1 + c * m2) for a, b, c in demag.rows]
+        else:
+            hd = demag_field(demag, m, g, mask).ravel().tolist()
+        lam = sched.amplitude(t) * _envelope_values(sched.envelope, g).item()
+        h = [a + lam * u for a, u in zip(hd, sched.direction.at(t).tolist())]
+        return np.array(_ll_torque3(m3, h, cfg.alpha,
+                                    cfg.epsilon)).reshape(m.shape)
     h = total_field(t, m, g, mask, demag, sched)
     mxh = cross3(m, h)
     return (mxh - cfg.alpha * cross3(m, mxh)) / cfg.epsilon
@@ -344,7 +355,7 @@ def relax_to_equilibrium(m0: np.ndarray, t_frozen: float, tol: float,
     2 / (alpha lambda) of the stiffest damping mode lambda may use up the
     budget of ceil(max_T / 0.05) steps unconverged.
     """
-    if max_T < 0:
+    if not max_T >= 0:
         raise ValueError(f"max_T must be >= 0, got {max_T}")
     tau = floor = 0.05
     n_steps = ceil(max_T / tau)

@@ -57,9 +57,9 @@ class AsymptoticsPlan:
             raise ValueError("samples_per_run must be >= 1")
         if not 0 < self.perturbation < 1:
             raise ValueError("perturbation must be in (0, 1)")
-        if self.relax_tol <= 0:
+        if not self.relax_tol > 0:
             raise ValueError("relax_tol must be > 0")
-        if self.relax_max_T < 0:
+        if not self.relax_max_T >= 0:
             raise ValueError(f"max_T must be >= 0, got {self.relax_max_T}")
         _check_span(self.T, self.sched)
         for e in self.eps_ladder:
@@ -191,9 +191,10 @@ class HysteresisPlan:
     tensor_resolution: int = 32
 
     def __post_init__(self):
-        if self.lam_max <= 0:
+        if not self.lam_max > 0:
             raise ValueError("sweep must cross both signs of lambda")
-        if min(self.period, self.epsilon, self.alpha, self.dt) <= 0:
+        if not all(x > 0 for x in (self.period, self.epsilon, self.alpha,
+                                   self.dt)):
             raise ValueError("period, epsilon, alpha and dt must be > 0")
         if self.tensor_resolution < 16:
             raise ValueError("tensor_resolution must be >= 16")

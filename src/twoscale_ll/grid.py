@@ -45,7 +45,7 @@ class Grid3:
     def __post_init__(self):
         if min(self.nx, self.ny, self.nz) < 1:
             raise ValueError("cell counts must be >= 1")
-        if min(self.hx, self.hy, self.hz) <= 0:
+        if not (self.hx > 0 and self.hy > 0 and self.hz > 0):
             raise ValueError("cell spacings must be > 0")
         # a tuple even when given an array, so a grid can key a cache
         object.__setattr__(self, "origin", tuple(map(float, self.origin)))

@@ -3,8 +3,10 @@ rotating unit direction, optional smooth radial envelope."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import cos, sin
 
 import numpy as np
 
@@ -48,11 +50,16 @@ class RotatingDirection:
         n = np.linalg.norm(e)
         if n == 0:
             raise ValueError("u1 must not be parallel to u0")
+        u1 = e / n
         object.__setattr__(self, "u0", u0)
-        object.__setattr__(self, "u1", e / n)
+        object.__setattr__(self, "u1", u1)
+        object.__setattr__(self, "_pairs", tuple(zip(u0.tolist(),
+                                                     u1.tolist())))
 
     def at(self, t: float) -> np.ndarray:
-        return np.cos(self.omega * t) * self.u0 + np.sin(self.omega * t) * self.u1
+        """cos(omega t) u0 + sin(omega t) u1, taken in floats."""
+        c, s = cos(self.omega * t), sin(self.omega * t)
+        return np.array([c * a + s * b for a, b in self._pairs])
 
     def rate(self, t: float) -> np.ndarray:
         w = self.omega
@@ -74,7 +81,7 @@ class BumpEnvelope:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("bump radius must be > 0")
         # a tuple even when given an array, so the envelope can key a cache
         object.__setattr__(self, "center", tuple(map(float, self.center)))
@@ -109,9 +116,15 @@ class FieldSchedule:
         knots = np.atleast_2d(np.asarray(self.knots, dtype=float))
         if knots.shape[1] != 2 or knots.shape[0] < 1:
             raise ValueError("knots must be an (n, 2) array of (t, lambda)")
+        if not np.all(np.isfinite(knots[:, 0])):
+            raise ValueError("knot times must be finite")
         if knots.shape[0] > 1 and np.any(np.diff(knots[:, 0]) <= 0):
             raise ValueError("knot times must be strictly increasing")
         object.__setattr__(self, "knots", knots)
+        ts, vs = knots[:, 0].tolist(), knots[:, 1].tolist()
+        slopes = [(v1 - v0) / (t1 - t0)
+                  for t0, t1, v0, v1 in zip(ts, ts[1:], vs, vs[1:])]
+        object.__setattr__(self, "_pieces", (ts, vs, slopes))
 
     @staticmethod
     def constant(lam: float, u) -> "FieldSchedule":
@@ -120,30 +133,35 @@ class FieldSchedule:
 
     @property
     def t_min(self) -> float:
-        return float(self.knots[0, 0])
+        return self._pieces[0][0]
 
     @property
     def t_max(self) -> float:
-        return float(self.knots[-1, 0])
+        return self._pieces[0][-1]
 
     def _check_t(self, t: float) -> None:
-        if t < self.t_min or t > self.t_max:
+        ts = self._pieces[0]
+        if not ts[0] <= t <= ts[-1]:
             raise ValueError(
-                f"time {t} outside schedule range [{self.t_min}, {self.t_max}]")
+                f"time {t} outside schedule range [{ts[0]}, {ts[-1]}]")
 
     def amplitude(self, t: float) -> float:
+        """np.interp through the knots, in floats: the knot value at a
+        knot, else slope * (t - t_j) + v_j on the piece [t_j, t_j+1)."""
         self._check_t(t)
-        return float(np.interp(t, self.knots[:, 0], self.knots[:, 1]))
+        ts, vs, slopes = self._pieces
+        j = bisect_right(ts, t) - 1
+        if ts[j] == t:
+            return vs[j]
+        return slopes[j] * (t - ts[j]) + vs[j]
 
     def amplitude_rate(self, t: float) -> float:
         """Piecewise-constant slope, one-sided from the right at knots."""
         self._check_t(t)
-        ts, vs = self.knots[:, 0], self.knots[:, 1]
-        if len(ts) == 1:
+        ts, _, slopes = self._pieces
+        if not slopes:
             return 0.0
-        i = int(np.searchsorted(ts, t, side="right")) - 1
-        i = min(max(i, 0), len(ts) - 2)
-        return float((vs[i + 1] - vs[i]) / (ts[i + 1] - ts[i]))
+        return slopes[min(bisect_right(ts, t), len(slopes)) - 1]
 
 
 @lru_cache(maxsize=8)

@@ -79,6 +79,18 @@ def test_bad_config_exit_one_lists_errors(tmp_path, capsys):
     assert "grid.hx" in err
 
 
+def test_nan_epsilon_exit_one_names_the_key(tmp_path, capsys):
+    # NaN passes a "<= 0" check; read as a config error, it exits 1, not 2
+    cfg = _write_cfg(tmp_path, MACROSPIN_CFG.replace("epsilon = 0.1",
+                                                     "epsilon = nan"))
+    rc = cli.main(["evolve", "--config", cfg, "--out", str(tmp_path),
+                   "--quiet"])
+    assert rc == 1
+    assert "invalid value for material.epsilon: nan is not a finite " \
+        "number" in capsys.readouterr().err
+    assert not (tmp_path / "evolve.csv").exists()
+
+
 def test_missing_config_exit_one(tmp_path, capsys):
     rc = cli.main(["evolve", "--config", str(tmp_path / "absent.ini"),
                    "--out", str(tmp_path)])

@@ -161,9 +161,25 @@ def test_bump_envelope_requires_radius():
     ("[field]\nknots = ,\n", "invalid value for field.knots: empty knot list"),
     ("[experiment]\ntensor_resolution = 8\n",
      "experiment.tensor_resolution must be >= 16"),
+    # NaN passes every "<= 0" check; non-finite numbers are refused as read
+    ("[material]\nepsilon = nan\n",
+     "invalid value for material.epsilon: nan is not a finite number"),
+    ("[solver]\ndt = nan\n",
+     "invalid value for solver.dt: nan is not a finite number"),
+    ("[experiment]\nrelax_tol = nan\n",
+     "invalid value for experiment.relax_tol: nan is not a finite number"),
+    ("[field]\nknots = 0:1, 1:nan\n",
+     "invalid value for field.knots: nan is not a finite number"),
+    ("[grid]\nhx = inf\n",
+     "invalid value for grid.hx: inf is not a finite number"),
+    ("[field]\ndirection = 0, -inf, 1\n",
+     "invalid value for field.direction: -inf is not a finite number"),
+    ("[material]\nepsilon_ladder = 0.1, 1e999\n",
+     "invalid value for material.epsilon_ladder: 1e999 is not a finite"),
 ], ids=["dt", "t_final", "integrator", "envelope", "shape",
         "duplicate-section", "no-section", "empty-knots",
-        "tensor-resolution"])
+        "tensor-resolution", "nan-epsilon", "nan-dt", "nan-relax-tol",
+        "nan-knot", "inf-hx", "inf-direction", "overflow-ladder"])
 def test_each_error_branch_names_its_problem(text, message):
     with pytest.raises(ConfigError) as exc:
         parse_config(text)

@@ -43,6 +43,7 @@ from twoscale_ll.linearization import sample_admissible_perturbation
 from twoscale_ll.schedule import (
     BumpEnvelope,
     FieldSchedule,
+    FixedDirection,
     RotatingDirection,
     eval_h_ext,
 )
@@ -59,6 +60,11 @@ def test_solver_config_validation():
         SolverConfig(epsilon=0.1, alpha=1.0, T=1.0, integrator="rk4")
     with pytest.raises(ValueError):
         SolverConfig(epsilon=0.1, alpha=1.0, T=1.0, dt=0.0)
+    # NaN fails every comparison, so each check is written as not x > 0
+    for bad in ({"epsilon": np.nan}, {"alpha": np.nan}, {"T": np.nan},
+                {"dt": np.nan}):
+        with pytest.raises(ValueError):
+            SolverConfig(**{"epsilon": 0.1, "alpha": 1.0, "T": 1.0, **bad})
 
 
 def test_resolve_dt_policy():
@@ -239,8 +245,8 @@ def test_precession_conserves_field_projection(macrospin, sphere_tensor):
 
 def _one_cell_case(name):
     """(demag, schedule) on one cell: a non-diagonal tensor, the FFT
-    operator built for one cell, or a rotating field under an off-centre
-    bump (chi < 1 at the cell)."""
+    operator built for one cell, a rotating field under an off-centre
+    bump (chi < 1 at the cell), or a fixed direction."""
     tensor = TensorDemag(np.array([[0.30, 0.05, 0.02],
                                    [0.05, 0.25, 0.01],
                                    [0.02, 0.01, 0.45]]))
@@ -251,6 +257,9 @@ def _one_cell_case(name):
         return tensor, sweep
     if name == "fft":
         return FftDemag.for_grid(Grid3(1, 1, 1)), sweep
+    if name == "fixed":
+        return tensor, FieldSchedule(sweep.knots,
+                                     FixedDirection((0.3, -0.2, 1.0)))
     bump = BumpEnvelope((0.2, 0.7, 0.4), 1.0)
     assert 0.0 < bump.values(Grid3(1, 1, 1))[0, 0, 0] < 1.0
     return tensor, FieldSchedule(sweep.knots, sweep.direction, bump)
@@ -258,7 +267,7 @@ def _one_cell_case(name):
 
 @pytest.mark.parametrize("integrator",
                          ["projected-explicit", "semi-implicit-spectral"])
-@pytest.mark.parametrize("case", ["tensor", "fft", "bump"])
+@pytest.mark.parametrize("case", ["tensor", "fft", "bump", "fixed"])
 def test_one_cell_matches_the_array_formulas(macrospin, integrator, case):
     # the float one-cell path against the grid formulas written out here
     g, mask = macrospin
@@ -287,6 +296,36 @@ def test_one_cell_matches_the_array_formulas(macrospin, integrator, case):
         out = step(t, m, dt, cfg, g, mask, demag, sched)
         assert out.shape == m.shape
         assert np.max(np.abs(out - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("integrator",
+                         ["projected-explicit", "semi-implicit-spectral"])
+def test_one_cell_tensor_field_stays_in_floats(macrospin, monkeypatch,
+                                               integrator):
+    # with a TensorDemag, a one-cell stage builds no (1, 1, 1, 3) field
+    # array: neither demag_field nor eval_h_ext is called
+    g, mask = macrospin
+    demag, sched = _one_cell_case("tensor")
+    cfg = SolverConfig(epsilon=0.05, alpha=0.7, T=1.0, dt=0.01,
+                       integrator=integrator)
+    m = normalize_pointwise(np.array([[[[0.3, -0.4, 0.8]]]]), mask)
+    want = ll_rhs(0.3, m, cfg, g, mask, demag, sched), \
+        step(0.3, m, cfg.dt, cfg, g, mask, demag, sched)
+    calls = []
+    for name in ("demag_field", "eval_h_ext"):
+        monkeypatch.setattr(dynamics, name,
+                            lambda *a, name=name: calls.append(name))
+    got = ll_rhs(0.3, m, cfg, g, mask, demag, sched), \
+        step(0.3, m, cfg.dt, cfg, g, mask, demag, sched)
+    assert calls == []
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    # an FftDemag on one cell still takes its field from demag_field
+    fft = FftDemag.for_grid(g)
+    monkeypatch.setattr(dynamics, "demag_field",
+                        lambda *a: calls.append("demag_field")
+                        or demag_field(*a))
+    ll_rhs(0.3, m, cfg, g, mask, fft, sched)
+    assert calls == ["demag_field"]
 
 
 @pytest.mark.parametrize("integrator",

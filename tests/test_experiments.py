@@ -68,11 +68,13 @@ def test_asymptotics_plan_validation():
         with pytest.raises(ValueError, match="perturbation"):
             AsymptoticsPlan((0.1,), sched, alpha=1.0, T=1.0, perturbation=s)
     # tol 0 would run every solve to its budget and call it unconverged
-    for tol in (0.0, -1e-8):
+    for tol in (0.0, -1e-8, np.nan):
         with pytest.raises(ValueError, match="relax_tol must be > 0"):
             AsymptoticsPlan((0.1,), sched, alpha=1.0, T=1.0, relax_tol=tol)
-    with pytest.raises(ValueError, match="max_T must be >= 0"):
-        AsymptoticsPlan((0.1,), sched, alpha=1.0, T=1.0, relax_max_T=-1.0)
+    for max_T in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="max_T must be >= 0"):
+            AsymptoticsPlan((0.1,), sched, alpha=1.0, T=1.0,
+                            relax_max_T=max_T)
     # a run past the schedule's end: refused before the relaxation
     short = FieldSchedule(np.array([[0.0, 5.0], [1.0, 5.0]]))
     with pytest.raises(ValueError, match="T = 2.0 .* ends at t = 1.0"):
@@ -189,11 +191,15 @@ def test_hysteresis_plan_validation():
     e = EllipsoidSpec(2.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         HysteresisPlan(e, lam_max=0.0)
+    with pytest.raises(ValueError):
+        HysteresisPlan(e, lam_max=np.nan)
     # dt = 0 divided by zero and epsilon = 0 never returned from LSODA
     for bad, message in (({"period": 0.0}, "must be > 0"),
                          ({"epsilon": 0.0}, "must be > 0"),
                          ({"alpha": 0.0}, "must be > 0"),
                          ({"dt": 0.0}, "must be > 0"),
+                         ({"period": np.nan}, "must be > 0"),
+                         ({"dt": np.nan}, "must be > 0"),
                          ({"tensor_resolution": 8}, "must be >= 16")):
         with pytest.raises(ValueError, match=message):
             HysteresisPlan(e, lam_max=0.6, **bad)

@@ -30,6 +30,9 @@ def test_grid_validation():
         Grid3(0, 4, 4)
     with pytest.raises(ValueError):
         Grid3(4, 4, 4, hx=-1.0)
+    for h in ("hx", "hy", "hz"):
+        with pytest.raises(ValueError, match="spacings must be > 0"):
+            Grid3(4, 4, 4, **{h: float("nan")})
     g = Grid3(1, 1, 1)
     assert g.is_macrospin
     assert not Grid3(2, 1, 1).is_macrospin

@@ -23,6 +23,10 @@ def test_knot_validation():
         FieldSchedule(np.array([[1.0, 1.0], [0.5, 2.0]]))
     with pytest.raises(ValueError):
         FieldSchedule(np.zeros((0, 2)))
+    # amplitude bisects the knot times; NaN or inf would break the search
+    for t in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="knot times must be finite"):
+            FieldSchedule(np.array([[0.0, 1.0], [t, 2.0]]))
 
 
 def test_amplitude_interpolation_and_range():
@@ -35,6 +39,47 @@ def test_amplitude_interpolation_and_range():
         s.amplitude(-0.1)
     with pytest.raises(ValueError):
         s.amplitude(4.1)
+
+
+def _same_float(a: float, b: float) -> bool:
+    """a and b are the same double (sign of zero included) or both NaN."""
+    return float(a).hex() == float(b).hex() or (np.isnan(a) and np.isnan(b))
+
+
+def test_amplitude_is_np_interp_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 8):
+        for _ in range(25):
+            ts = np.cumsum(rng.uniform(1e-3, 2.0, n)) - rng.uniform(0, 3)
+            vs = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+            if n > 2 and rng.uniform() < 0.3:
+                vs[rng.integers(n)] = np.nan  # the blow-up tests use NaN
+            s = FieldSchedule(np.column_stack([ts, vs]))
+            times = list(ts) + list(rng.uniform(ts[0], ts[-1], 20)) \
+                + [np.nextafter(t, ts[-1]) for t in ts] \
+                + [np.nextafter(t, ts[0]) for t in ts]
+            for t in times:
+                t = float(t)
+                assert _same_float(s.amplitude(t), np.interp(t, ts, vs)), \
+                    (ts, vs, t)
+            for t in (np.nextafter(ts[0], -np.inf),
+                      np.nextafter(ts[-1], np.inf), np.nan):
+                with pytest.raises(ValueError, match="outside schedule"):
+                    s.amplitude(float(t))
+
+
+def test_rotating_direction_at_is_the_array_formula():
+    # math and numpy may each round cos and sin differently by an ulp
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        d = RotatingDirection(rng.standard_normal(3), rng.standard_normal(3),
+                              rng.uniform(-5.0, 5.0))
+        t = rng.uniform(0.0, 50.0)
+        c, s = np.cos(d.omega * t), np.sin(d.omega * t)
+        got = d.at(t)
+        assert isinstance(got, np.ndarray) and got.shape == (3,)
+        assert np.all(np.abs(got - (c * d.u0 + s * d.u1))
+                      <= np.spacing(np.abs(c * d.u0) + np.abs(s * d.u1)))
 
 
 def test_amplitude_rate_right_sided():
@@ -85,6 +130,13 @@ def test_rotating_direction_great_circle():
     assert np.allclose(fd, d.rate(1.0), atol=1e-7)
     with pytest.raises(ValueError):
         RotatingDirection((0.0, 0.0, 1.0), (0.0, 0.0, -2.0), 0.5)
+
+
+def test_bump_envelope_refuses_a_radius_not_above_zero():
+    # a NaN radius would put no cell inside: a zero field, silently
+    for r in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="bump radius must be > 0"):
+            BumpEnvelope((0.0, 0.0, 0.0), r)
 
 
 def test_bump_envelope_support_and_values():
