@@ -34,6 +34,8 @@ class FftDemag:
     residual wrap-around of periodic images is the dominant discretization
     error at desk scale.
 
+    One cell is refused: every nonzero mode of its padded box is Nyquist.
+
     The model owns the complex work buffers of its transforms, so one model
     is not for concurrent calls from several threads.
     """
@@ -42,6 +44,8 @@ class FftDemag:
     padded_shape: tuple[int, int, int]
 
     def __post_init__(self):
+        if self.grid.is_macrospin:
+            raise ValueError("a one-cell grid takes TensorDemag, not FftDemag")
         shape = self.padded_shape
         if not (len(shape) == 3 and all(
                 isinstance(n, (int, np.integer)) and n >= 1 for n in shape)):
@@ -176,7 +180,7 @@ def demag_field(model: DemagModel, m: np.ndarray, g: Grid3,
     if not g.is_macrospin:
         raise ModeMismatchError(
             "tensor demag model is only valid on single-cell grids")
-    return apply_mask(m @ model.D.T * -1.0, mask)
+    return m @ model.D.T * -1.0
 
 
 def demag_field_padded(model: FftDemag, m: np.ndarray, g: Grid3,

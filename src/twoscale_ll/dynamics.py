@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 import scipy.fft
 
-from .demag import DemagModel, TensorDemag, demag_field
+from .demag import DemagModel, demag_field
 from .grid import (
     DegenerateCellError,
     DomainMask,
@@ -151,18 +151,14 @@ def ll_rhs(t: float, m: np.ndarray, cfg: SolverConfig, g: Grid3,
     """(1/eps) [ m ^ h_T - alpha m ^ (m ^ h_T) ].
 
     One cell has no interior face, so there h_T = h_d + h_ext exactly, and
-    the field and the torque are taken in floats: h_d = -D m from a
-    TensorDemag's rows (an FftDemag still calls demag_field) and h_ext =
-    lambda(t) chi u(t).
+    the field and the torque are taken in floats: h_d = -D m from the
+    TensorDemag's rows and h_ext = lambda(t) chi u(t).
     """
     if g.is_macrospin:
         _check_field(m, g)
         m3 = m.ravel().tolist()
-        if isinstance(demag, TensorDemag):
-            m0, m1, m2 = m3
-            hd = [-(a * m0 + b * m1 + c * m2) for a, b, c in demag.rows]
-        else:
-            hd = demag_field(demag, m, g, mask).ravel().tolist()
+        m0, m1, m2 = m3
+        hd = [-(a * m0 + b * m1 + c * m2) for a, b, c in demag.rows]
         lam = sched.amplitude(t) * _envelope_values(sched.envelope, g).item()
         h = [a + lam * u for a, u in zip(hd, sched.direction.at(t).tolist())]
         return np.array(_ll_torque3(m3, h, cfg.alpha,
@@ -357,6 +353,10 @@ def relax_to_equilibrium(m0: np.ndarray, t_frozen: float, tol: float,
     """
     if not max_T >= 0:
         raise ValueError(f"max_T must be >= 0, got {max_T}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    if not alpha > 0:
+        raise ValueError(f"alpha must be > 0, got {alpha}")
     tau = floor = 0.05
     n_steps = ceil(max_T / tau)
     m = m0

@@ -122,7 +122,6 @@ def run_asymptotics(plan: AsymptoticsPlan, g: Grid3, mask: DomainMask,
                 raise ValueError(f"eps = {eps}: dt = {cfg.dt:g} exceeds the "
                                  f"stable explicit step {limit:g}")
     analytic = plan.analytic_equilibrium and g.is_macrospin \
-        and isinstance(demag, TensorDemag) \
         and np.array_equal(demag.D, demag.D[0][0] * np.eye(3))
     t0 = plan.sched.t_min
 
@@ -191,11 +190,12 @@ class HysteresisPlan:
     tensor_resolution: int = 32
 
     def __post_init__(self):
-        if not self.lam_max > 0:
-            raise ValueError("sweep must cross both signs of lambda")
-        if not all(x > 0 for x in (self.period, self.epsilon, self.alpha,
-                                   self.dt)):
-            raise ValueError("period, epsilon, alpha and dt must be > 0")
+        if not 0 < self.lam_max < np.inf:
+            raise ValueError("lam_max must be > 0 and finite")
+        if not all(0 < x < np.inf for x in (self.period, self.epsilon,
+                                            self.alpha, self.dt)):
+            raise ValueError("period, epsilon, alpha and dt must be > 0 "
+                             "and finite")
         if self.tensor_resolution < 16:
             raise ValueError("tensor_resolution must be >= 16")
 
@@ -238,7 +238,7 @@ def run_hysteresis(plan: HysteresisPlan) -> dict:
     h_bias = 1e-6 * evecs[:, 2]
 
     # in floats, as the one-cell ll_rhs: -D m + lambda(t) u_field + h_bias
-    D_rows, u_f, h_b = D.tolist(), u_field.tolist(), h_bias.tolist()
+    D_rows, u_f, h_b = TensorDemag(D).rows, u_field.tolist(), h_bias.tolist()
 
     def rhs(t: float, m: np.ndarray) -> tuple[float, ...]:
         m = m.tolist()

@@ -40,12 +40,12 @@ class ConstantEquilibrium:
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
-        if abs(np.linalg.norm(u) - 1.0) > 1e-10:
+        if not abs(np.linalg.norm(u) - 1.0) <= 1e-10:
             raise ValueError("u must be a unit vector")
         if self.sign not in (+1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self.d <= 0 or self.lam < 0:
-            raise ValueError("d must be > 0 and lambda >= 0")
+        if not (0 < self.d < np.inf and 0 <= self.lam < np.inf):
+            raise ValueError("d must be > 0 and lambda >= 0, both finite")
         object.__setattr__(self, "u", u)
 
     def check_eigenvector(self, D: np.ndarray) -> None:

@@ -6,15 +6,22 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import cos, sin
+from math import cos, isfinite, sin
 
 import numpy as np
 
 from .grid import DomainMask, Grid3, apply_mask
 
 
-def _unit(v) -> np.ndarray:
+def _finite(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"direction must be finite, got {v.tolist()}")
+    return v
+
+
+def _unit(v) -> np.ndarray:
+    v = _finite(v)
     n = np.linalg.norm(v)
     if n == 0:
         raise ValueError("direction must be nonzero")
@@ -45,8 +52,10 @@ class RotatingDirection:
     omega: float
 
     def __post_init__(self):
-        u0 = _unit(self.u0)
-        e = np.asarray(self.u1, dtype=float) - np.dot(self.u1, u0) * u0
+        if not isfinite(self.omega):
+            raise ValueError(f"omega must be finite, got {self.omega}")
+        u0, u1 = _unit(self.u0), _finite(self.u1)
+        e = u1 - np.dot(u1, u0) * u0
         n = np.linalg.norm(e)
         if n == 0:
             raise ValueError("u1 must not be parallel to u0")

@@ -98,6 +98,16 @@ def test_fft_grid_mismatch():
     demag_field(unit, constant_field(g5, (0.0, 0.0, 1.0), mask5), g5, mask5)
 
 
+def test_fft_refuses_a_one_cell_grid():
+    # every nonzero mode of the 2x2x2 box is a Nyquist mode, where the
+    # multiplier gives a cube a hard axis along a body diagonal
+    g = Grid3(1, 1, 1)
+    with pytest.raises(ValueError, match="TensorDemag"):
+        FftDemag(g, (2, 2, 2))
+    with pytest.raises(ValueError, match="TensorDemag"):
+        FftDemag.for_grid(g)
+
+
 @pytest.mark.parametrize("padded", [(8, 8), (8, 8, 0), (8, 8, -3),
                                     (8.0, 8, 1), (8, 8, 8, 8)])
 def test_fft_padded_shape_must_be_three_ints(padded):
@@ -139,7 +149,7 @@ def _textbook_field(model, m, mask, shape):
     pytest.param(Grid3(8, 8, 1, 0.1, 0.1, 0.1), None, None, id="flat"),
     pytest.param(Grid3(4, 5, 5, 0.3, 0.2, 0.1), None, (9, 10, 11),
                  id="odd_pad"),
-    pytest.param(Grid3(1, 1, 1), None, None, id="one_cell"),
+    pytest.param(Grid3(1, 1, 6, 0.2, 0.3, 0.1), None, None, id="column"),
 ])
 def test_fft_field_matches_the_textbook_transform(g, spec, padded):
     mask = (DomainMask.full(g) if spec is None

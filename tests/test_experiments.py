@@ -191,8 +191,11 @@ def test_hysteresis_plan_validation():
     e = EllipsoidSpec(2.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         HysteresisPlan(e, lam_max=0.0)
-    with pytest.raises(ValueError):
-        HysteresisPlan(e, lam_max=np.nan)
+    for lam_max in (np.nan, np.inf):
+        # an infinite sweep returned NaN switching fields and loop area
+        with pytest.raises(ValueError, match="lam_max must be > 0 and "
+                                             "finite"):
+            HysteresisPlan(e, lam_max=lam_max)
     # dt = 0 divided by zero and epsilon = 0 never returned from LSODA
     for bad, message in (({"period": 0.0}, "must be > 0"),
                          ({"epsilon": 0.0}, "must be > 0"),
@@ -200,6 +203,10 @@ def test_hysteresis_plan_validation():
                          ({"dt": 0.0}, "must be > 0"),
                          ({"period": np.nan}, "must be > 0"),
                          ({"dt": np.nan}, "must be > 0"),
+                         ({"period": np.inf}, "must be > 0 and finite"),
+                         ({"epsilon": np.inf}, "must be > 0 and finite"),
+                         ({"alpha": np.nan}, "must be > 0 and finite"),
+                         ({"dt": np.inf}, "must be > 0 and finite"),
                          ({"tensor_resolution": 8}, "must be >= 16")):
         with pytest.raises(ValueError, match=message):
             HysteresisPlan(e, lam_max=0.6, **bad)

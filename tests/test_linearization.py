@@ -36,6 +36,12 @@ def test_constant_equilibrium_validation():
         ConstantEquilibrium(UZ, 1 / 3, 0.5, 2)
     with pytest.raises(ValueError):
         ConstantEquilibrium(UZ, -0.1, 0.5, +1)
+    for d, lam in ((np.nan, 0.5), (np.inf, 0.5), (1 / 3, np.nan),
+                   (1 / 3, np.inf)):
+        with pytest.raises(ValueError, match="both finite"):
+            ConstantEquilibrium(UZ, d, lam, +1)
+    with pytest.raises(ValueError, match="unit vector"):
+        ConstantEquilibrium(np.array([0.0, np.nan, 1.0]), 1 / 3, 0.5, +1)
     ce = ConstantEquilibrium(UZ, 1 / 3, 0.5, +1)
     ce.check_eigenvector(np.eye(3) / 3.0)
     with pytest.raises(ValueError):

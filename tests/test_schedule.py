@@ -111,8 +111,23 @@ def test_fixed_direction_unit():
     d = FixedDirection(np.array([0.0, 0.0, 2.0]))
     assert np.allclose(d.at(3.0), [0.0, 0.0, 1.0])
     assert np.allclose(d.rate(3.0), 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="direction must be nonzero"):
         FixedDirection(np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [(np.nan, 0.0, 1.0), (np.inf, 0.0, 1.0),
+                                 (0.0, -np.inf, 0.0)])
+def test_directions_refuse_non_finite_input(bad):
+    # a NaN direction used to run on to a blow-up, an infinite one to NaN
+    with pytest.raises(ValueError, match="direction must be finite"):
+        FixedDirection(bad)
+    with pytest.raises(ValueError, match="direction must be finite"):
+        RotatingDirection(bad, (1.0, 0.0, 0.0), 0.5)
+    with pytest.raises(ValueError, match="direction must be finite"):
+        RotatingDirection((0.0, 1.0, 0.0), bad, 0.5)
+    for omega in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="omega must be finite"):
+            RotatingDirection((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), omega)
 
 
 def test_rotating_direction_great_circle():
