@@ -63,18 +63,19 @@ class FftDemag:
 
     @cached_property
     def _spectrum(self):
-        """Frequencies (kx, ky, kz) of the padded real transform, and
-        |xi|^2 with the zero mode set to 1 (that mode is mapped to 0);
-        built on first use, then read-only."""
+        """Real factors of the multiplier, for float views of the padded
+        complex spectrum: kx, ky, kz with each kz twice, and -1/|k|^2
+        laid out so too (0 at k = 0); built on first use, then read-only."""
         npx, npy, npz = self.padded_shape
         kx = np.fft.fftfreq(npx, d=self.grid.hx)[:, None, None]
         ky = np.fft.fftfreq(npy, d=self.grid.hy)[None, :, None]
-        kz = np.fft.rfftfreq(npz, d=self.grid.hz)[None, None, :]
+        kz = np.fft.rfftfreq(npz, d=self.grid.hz).repeat(2)[None, None, :]
         k2 = kx**2 + ky**2 + kz**2
-        k2[0, 0, 0] = 1.0
-        for a in (kx, ky, kz, k2):
+        k2[0, 0, :2] = np.inf
+        q = -1.0 / k2
+        for a in (kx, ky, kz, q):
             a.flags.writeable = False
-        return (kx, ky, kz), k2
+        return (kx, ky, kz), q
 
     @cached_property
     def _buffers(self) -> dict:
@@ -118,13 +119,14 @@ def _fft_field(model: FftDemag, m: np.ndarray, g: Grid3, mask: DomainMask,
 
     One-axis passes, each over only the lines that hold data or are kept.
     The complex passes run in place on the model's buffers (each pass's
-    result is used, so a copying scipy.fft stays correct); the result is
-    a new array.
+    result is used, so a copying scipy.fft stays correct); the multiplier
+    is real, so it is applied on float views of them. The result is a new
+    array.
     """
     _check_field(m, g)
     if model.grid.shape != g.shape or model.grid.spacings != g.spacings:
         raise ModeMismatchError("demag model was built for a different grid")
-    (kx, ky, kz), k2 = model._spectrum
+    (kx, ky, kz), q = model._spectrum
     px, py, pz = model.padded_shape
     nx, ny = g.shape[:2]
     sx, sy, sz = shape
@@ -145,28 +147,26 @@ def _fft_field(model: FftDemag, m: np.ndarray, g: Grid3, mask: DomainMask,
     # takes two fields, f_x and ky f_y + kz f_z
     fx[:, nx:] = 0.0
     fx[0, :nx] = f[0]
-    np.multiply(f[1], ky, out=fx[1, :nx])
-    f[2] *= kz
+    np.multiply(f[1].view(float), ky, out=fx[1, :nx].view(float))
+    np.multiply(f[2].view(float), kz, out=f[2].view(float))
     fx[1, :nx] += f[2]
     f = scipy.fft.fft(fx, axis=1, overwrite_x=True)
-    # c = -(kx F_x + F_yz) / |k|^2 in f[0] (0 at k = 0, where the sum is 0
-    # and |k|^2 is 1), kx c in f[1]
-    c = f[0]
+    # c = -(kx F_x + F_yz) / |k|^2 in f[0] (0 at k = 0), kx c in f[1]
+    c = f[0].view(float)
     c *= kx
-    c += f[1]
-    c /= k2
-    c *= -1.0
-    np.multiply(c, kx, out=f[1])
+    c += f[1].view(float)
+    c *= q
+    np.multiply(c, kx, out=f[1].view(float))
     # inverse: x over c and kx c, then y over the sx kept planes of
     # kx c, ky c and c
     f = scipy.fft.ifft(f, axis=1, overwrite_x=True)
     fy[0] = f[1, :sx]
-    np.multiply(f[0, :sx], ky, out=fy[1])
+    np.multiply(f[0, :sx].view(float), ky, out=fy[1].view(float))
     fy[2] = f[0, :sx]
     f = scipy.fft.ifft(fy, axis=2, overwrite_x=True)
     # z over the sx*sy kept lines, c times kz first
     f = f[:, :, :sy]
-    f[2] *= kz
+    np.multiply(f[2].view(float), kz, out=f[2].view(float))
     hp = scipy.fft.irfft(f, n=pz, axis=-1)
     return np.moveaxis(hp[..., :sz], 0, -1).copy()
 

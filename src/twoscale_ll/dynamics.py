@@ -177,14 +177,16 @@ def parabolic_rhs_F(t: float, m: np.ndarray, cfg: SolverConfig, g: Grid3,
     LL right-hand side exactly on unit fields (discrete counterpart of the
     parabolic reformulation).
     """
-    hd_ext = demag_field(demag, m, g, mask) + eval_h_ext(sched, t, g, mask)
-    lap = laplacian_neumann(m, g, mask)
-    h = hd_ext + lap
+    a = demag_field(demag, m, g, mask)
+    a += eval_h_ext(sched, t, g, mask)
+    h = laplacian_neumann(m, g, mask)
+    h += a
     # on unit fields -m.Lap(m) equals the half-sum one-sided |grad m|^2
-    # exactly; reusing the Laplacian avoids a second stencil sweep
-    gsq = -dot3(m, lap)
-    out = cross3(m, h) + cfg.alpha * gsq[..., None] * m \
-        - cfg.alpha * cross3(m, cross3(m, hd_ext))
+    # exactly, and m ^ (m ^ a) = (m.a) m - |m|^2 a for every m, so
+    # F = m ^ h_T + alpha (|m|^2 a - (m.h_T) m), with a = h_d + h_ext
+    out = cross3(m, h)
+    out += (cfg.alpha * dot3(m, m))[..., None] * a
+    out -= (cfg.alpha * dot3(m, h))[..., None] * m
     return apply_mask(out, mask)
 
 
@@ -197,9 +199,10 @@ def _cosine_solve(rhs: np.ndarray, shift: float, alpha: float, g: Grid3,
     sub = rhs[box]
     lam = neumann_eigenvalues(Grid3(*sub.shape[:3], *g.spacings))
     fr = scipy.fft.dctn(sub, type=2, norm="ortho", axes=(0, 1, 2))
+    fr /= (shift + alpha * lam)[..., None]
     out = np.zeros_like(rhs)
-    out[box] = scipy.fft.idctn(fr / (shift + alpha * lam)[..., None], type=2,
-                               norm="ortho", axes=(0, 1, 2))
+    out[box] = scipy.fft.idctn(fr, type=2, norm="ortho", axes=(0, 1, 2),
+                               overwrite_x=True)
     return out
 
 
@@ -242,8 +245,8 @@ def step(t: float, m: np.ndarray, dt: float, cfg: SolverConfig, g: Grid3,
         require_full_box(mask, "the semi-implicit-spectral integrator")
         alpha = cfg.alpha
         beta = alpha if alpha >= 1.0 else (1.0 + alpha**2) / (2.0 * alpha)
-        rhs = (cfg.epsilon / dt) * m \
-            + parabolic_rhs_F(t, m, cfg, g, mask, demag, sched)
+        rhs = parabolic_rhs_F(t, m, cfg, g, mask, demag, sched)
+        rhs += (cfg.epsilon / dt) * m
         if beta > alpha:
             rhs -= (beta - alpha) * laplacian_neumann(m, g, mask)
         out = _cosine_solve(rhs, cfg.epsilon / dt, beta, g, mask)

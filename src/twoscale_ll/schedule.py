@@ -20,11 +20,16 @@ def _finite(v) -> np.ndarray:
     return v
 
 
-def _unit(v) -> np.ndarray:
+def _unit(v, zero: str = "direction must be nonzero") -> np.ndarray:
+    """v / |v|, first divided by max |v_i| where |v|^2 under- or overflows."""
     v = _finite(v)
-    n = np.linalg.norm(v)
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v)
+    if not 0 < n < np.inf and np.any(v):
+        v = v / np.max(np.abs(v))
+        n = np.linalg.norm(v)
     if n == 0:
-        raise ValueError("direction must be nonzero")
+        raise ValueError(zero)
     return v / n
 
 
@@ -55,11 +60,7 @@ class RotatingDirection:
         if not isfinite(self.omega):
             raise ValueError(f"omega must be finite, got {self.omega}")
         u0, u1 = _unit(self.u0), _finite(self.u1)
-        e = u1 - np.dot(u1, u0) * u0
-        n = np.linalg.norm(e)
-        if n == 0:
-            raise ValueError("u1 must not be parallel to u0")
-        u1 = e / n
+        u1 = _unit(u1 - np.dot(u1, u0) * u0, "u1 must not be parallel to u0")
         object.__setattr__(self, "u0", u0)
         object.__setattr__(self, "u1", u1)
         object.__setattr__(self, "_pairs", tuple(zip(u0.tolist(),

@@ -29,6 +29,7 @@ from twoscale_ll.grid import (
     Grid3,
     ModeMismatchError,
     ShapeMismatchError,
+    apply_mask,
     constant_field,
     cross3,
     dot3,
@@ -147,6 +148,29 @@ def test_parabolic_equivalence(box12, demag12, static_field):
         rhs = cfg.epsilon * ll_rhs(0.0, m, cfg, g, mask, demag12,
                                    static_field)
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * np.max(np.abs(rhs))
+
+
+@pytest.mark.parametrize("shape", ["box", "ellipsoid"])
+def test_F_is_the_three_cross_product_formula_off_the_sphere(shape,
+                                                            static_field):
+    # F writes m ^ (m ^ a) as (m.a) m - |m|^2 a, which holds for every m:
+    # the linearization checks evaluate F at m_eq + delta, off the sphere
+    g = Grid3(10, 8, 6, 0.1, 0.125, 1 / 6)
+    mask = DomainMask.full(g) if shape == "box" else \
+        DomainMask.ellipsoid(g, EllipsoidSpec(0.5, 0.4, 0.3))
+    demag = FftDemag.for_grid(g)
+    cfg = SolverConfig(epsilon=0.3, alpha=0.7, T=1.0, dt=1e-3)
+    rng = np.random.default_rng(11)
+    for scale in (0.5, 1.0, 3.0):
+        m = apply_mask(scale * rng.standard_normal(g.shape + (3,)), mask)
+        lap = laplacian_neumann(m, g, mask)
+        a = demag_field(demag, m, g, mask) \
+            + eval_h_ext(static_field, 0.0, g, mask)
+        want = apply_mask(
+            cross3(m, a + lap) - cfg.alpha * dot3(m, lap)[..., None] * m
+            - cfg.alpha * cross3(m, cross3(m, a)), mask)
+        got = parabolic_rhs_F(0.0, m, cfg, g, mask, demag, static_field)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("integrator",

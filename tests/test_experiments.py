@@ -12,7 +12,12 @@ from twoscale_ll.experiments import (
     run_asymptotics,
     run_hysteresis,
 )
-from twoscale_ll.grid import DomainMask, EllipsoidSpec, Grid3
+from twoscale_ll.grid import (
+    DomainMask,
+    EllipsoidSpec,
+    Grid3,
+    ModeMismatchError,
+)
 from twoscale_ll.schedule import FieldSchedule, RotatingDirection
 
 
@@ -119,6 +124,17 @@ def test_asymptotics_refuses_an_unstable_explicit_ladder(monkeypatch):
     with pytest.raises(ValueError, match="eps = 0.1: dt = 0.002 exceeds"):
         run_asymptotics(plan, g, DomainMask.full(g), FftDemag.for_grid(g))
     assert calls == []
+
+
+def test_asymptotics_refuses_a_demag_model_of_another_grid():
+    # an FftDemag of a 4^3 box given with one cell: the first relaxation's
+    # demag_field raises the documented error before D is read
+    g = Grid3(1, 1, 1)
+    plan = AsymptoticsPlan((0.1,), FieldSchedule.constant(
+        1.0, (0.0, 0.0, 1.0)), alpha=1.0, T=1e-3, dt_over_eps=1e-2)
+    with pytest.raises(ModeMismatchError, match="different grid"):
+        run_asymptotics(plan, g, DomainMask.full(g),
+                        FftDemag.for_grid(Grid3(4, 4, 4)))
 
 
 def test_asymptotics_zero_perturbation_tracks_equilibrium():

@@ -115,6 +115,20 @@ def test_fixed_direction_unit():
         FixedDirection(np.zeros(3))
 
 
+def test_directions_normalize_huge_and_tiny_vectors():
+    # their sums of squares over- and underflow; neither may come out as a
+    # zero direction or be refused as a zero vector
+    want = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    for scale in (1e200, 1e-200):
+        u = FixedDirection((scale, scale, 0.0)).u
+        np.testing.assert_allclose(u, want, rtol=1e-15, atol=0.0)
+    d = RotatingDirection((1e200, 0.0, 0.0), (0.0, 1e300, 0.0), 0.1)
+    assert np.array_equal(d.at(0.0), [1.0, 0.0, 0.0])
+    assert np.array_equal(d.u1, [0.0, 1.0, 0.0])
+    d = RotatingDirection((1e-200, 0.0, 0.0), (1.0, 1e-300, 0.0), 0.1)
+    assert np.array_equal(d.u1, [0.0, 1.0, 0.0])
+
+
 @pytest.mark.parametrize("bad", [(np.nan, 0.0, 1.0), (np.inf, 0.0, 1.0),
                                  (0.0, -np.inf, 0.0)])
 def test_directions_refuse_non_finite_input(bad):
