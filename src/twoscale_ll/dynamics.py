@@ -171,18 +171,19 @@ def ll_rhs(t: float, m: np.ndarray, cfg: SolverConfig, g: Grid3,
 def parabolic_rhs_F(t: float, m: np.ndarray, cfg: SolverConfig, g: Grid3,
                     mask: DomainMask, demag: DemagModel,
                     sched: FieldSchedule) -> np.ndarray:
-    """F(t,m) = m ^ h_T + alpha |grad m|^2 m - alpha m ^ (m ^ (h_d + h_ext)).
+    """F(t,m) = m ^ h_T - alpha (m.Lap m) m - alpha m ^ (m ^ (h_d + h_ext)).
 
-    With the half-sum one-sided |grad m|^2, alpha*Lap(m) + F reproduces the
-    LL right-hand side exactly on unit fields (discrete counterpart of the
-    parabolic reformulation).
+    On unit fields -m.Lap(m) is the discrete |grad m|^2, the half-sum of
+    the squared one-sided differences, so F is the paper's
+    m ^ h_T + alpha |grad m|^2 m - alpha m ^ (m ^ (h_d + h_ext)), and
+    alpha*Lap(m) + F reproduces the LL right-hand side exactly (discrete
+    counterpart of the parabolic reformulation).
     """
     a = demag_field(demag, m, g, mask)
     a += eval_h_ext(sched, t, g, mask)
     h = laplacian_neumann(m, g, mask)
     h += a
-    # on unit fields -m.Lap(m) equals the half-sum one-sided |grad m|^2
-    # exactly, and m ^ (m ^ a) = (m.a) m - |m|^2 a for every m, so
+    # m ^ (m ^ a) = (m.a) m - |m|^2 a for every m, so
     # F = m ^ h_T + alpha (|m|^2 a - (m.h_T) m), with a = h_d + h_ext
     out = cross3(m, h)
     out += (cfg.alpha * dot3(m, m))[..., None] * a
@@ -261,9 +262,10 @@ def energy(t: float, m: np.ndarray, cfg: SolverConfig, g: Grid3,
     """E = 1/2 int |grad m|^2 - 1/2 int m.h_d(m) - int m.h_ext(t).
 
     Evaluated as the quadratic form of the field, -1/2 (m | h_T + h_ext):
-    by summation by parts -(m | Lap m) is the summed grad_dot(m, m), so
-    the discrete energy gradient is exactly -h_T and the decay identity
-    holds up to time-discretization error only.
+    by summation by parts -(m | Lap m) is the sum of |m_j - m_i|^2 / h^2
+    over the faces joining two body cells, times the cell volume, so the
+    discrete energy gradient is exactly -h_T and the decay identity holds
+    up to time-discretization error only.
     """
     h = total_field(t, m, g, mask, demag, sched) \
         + eval_h_ext(sched, t, g, mask)

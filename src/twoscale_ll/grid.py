@@ -207,29 +207,6 @@ def laplacian_neumann(u: np.ndarray, g: Grid3, mask: DomainMask) -> np.ndarray:
     return out
 
 
-def grad_dot(u: np.ndarray, v: np.ndarray, g: Grid3, mask: DomainMask) -> np.ndarray:
-    """Pointwise discrete gradient pairing sum_i (d_i u).(d_i v).
-
-    Uses the half-sum of the two one-sided differences per axis (mirror
-    ghosts across the mask boundary). Pointwise it is
-    Lap(u.v)/2 - (u.Lap v + v.Lap u)/2, so its sum is -(u | Lap v), and on
-    unit fields grad_dot(m, m) = -m.Lap(m), the identity the parabolic
-    reformulation relies on.
-    """
-    _check_field(u, g)
-    _check_field(v, g)
-    out = np.zeros(g.shape)
-    for axis, lo, hi, h in _faces(g):
-        qu = _face_flux(u, axis, lo, hi, h, mask)
-        qv = qu if v is u else _face_flux(v, axis, lo, hi, h, mask)
-        # the fluxes are differences over h^2, so h^2/2 times their product
-        # is half the one-sided pairing; each face feeds both of its cells
-        c = 0.5 * h**2 * dot3(qu, qv)
-        out[lo] += c
-        out[hi] += c
-    return out
-
-
 @lru_cache(maxsize=8)
 def neumann_eigenvalues(g: Grid3) -> np.ndarray:
     """Eigenvalues of -laplacian_neumann on the full box, indexed by cosine

@@ -19,7 +19,6 @@ from .grid import (
     constant_field,
     cross3,
     dot3,
-    grad_dot,
     inner_products,
     laplacian_neumann,
     normalize_pointwise,
@@ -56,24 +55,28 @@ class ConstantEquilibrium:
 def linearized_apply(t: float, m_eq: np.ndarray, delta: np.ndarray,
                      alpha: float, g: Grid3, mask: DomainMask,
                      demag: DemagModel, sched: FieldSchedule) -> np.ndarray:
-    """Linear part L(t, m_eq) delta of F(t, m_eq + delta) alone.
+    """Linear part L(t, m_eq) delta of F(t, m_eq + delta) alone, for any
+    delta, tangent or not.
 
     The flow's full linearization is alpha*Lap(delta) + L delta: the two
     agree on one cell, where Lap vanishes, but not on a grid.
 
-    Seven terms: the two exchange-energy couplings, the torque of delta
-    against h_T(m_eq), the torque of m_eq against (Lap + h_d)(delta), and
-    the three damping couplings through h_d(m_eq) + h_ext.
+    Seven terms: the two exchange couplings of F's -alpha (m.Lap m) m,
+    -alpha [(m_eq.Lap m_eq) delta + (delta.Lap m_eq + m_eq.Lap delta) m_eq],
+    the torque of delta against h_T(m_eq), the torque of m_eq against
+    (Lap + h_d)(delta), and the three damping couplings through
+    h_d(m_eq) + h_ext.
     """
     hde = demag_field(demag, m_eq, g, mask) + eval_h_ext(sched, t, g, mask)
     hd_delta = demag_field(demag, delta, g, mask)
+    lap_eq = laplacian_neumann(m_eq, g, mask)
     lap_delta = laplacian_neumann(delta, g, mask)
-    gsq_eq = grad_dot(m_eq, m_eq, g, mask)
-    gdot = grad_dot(m_eq, delta, g, mask)
-    h_T_eq = hde + laplacian_neumann(m_eq, g, mask)
-    out = (alpha * gsq_eq[..., None] * delta
-           + 2.0 * alpha * gdot[..., None] * m_eq
-           + cross3(delta, h_T_eq)
+    # -(x.Lap y) as dot3(-x, Lap y), which is +0, not -0, where Lap y = 0,
+    # so one cell keeps the signs of its zeros
+    mixed = dot3(-delta, lap_eq) + dot3(-m_eq, lap_delta)
+    out = (alpha * (dot3(-m_eq, lap_eq)[..., None] * delta
+                    + mixed[..., None] * m_eq)
+           + cross3(delta, hde + lap_eq)
            + cross3(m_eq, lap_delta + hd_delta)
            - alpha * cross3(delta, cross3(m_eq, hde))
            - alpha * cross3(m_eq, cross3(delta, hde))
@@ -84,20 +87,21 @@ def linearized_apply(t: float, m_eq: np.ndarray, delta: np.ndarray,
 def remainder_apply(t: float, m_eq: np.ndarray, delta: np.ndarray,
                     alpha: float, g: Grid3, mask: DomainMask,
                     demag: DemagModel, sched: FieldSchedule) -> np.ndarray:
-    """Quadratic-and-higher remainder R(t, m_eq)(delta) of the expansion.
+    """Quadratic-and-cubic remainder R(t, m_eq)(delta) of the expansion, so
+    that F(m_eq + delta) - F(m_eq) = L delta + R(delta) for any delta.
 
-    Includes the quadratic exchange coupling |grad delta|^2 m_eq, which the
-    expansion of F produces alongside the gradient cross terms; without it
-    the decomposition F(m_eq + delta) - F(m_eq) = L delta + R(delta) would
-    fail at second order.
+    Its exchange part is the rest of -alpha (m.Lap m) m,
+    -alpha [(delta.Lap m_eq + m_eq.Lap delta) delta
+    + (delta.Lap delta)(m_eq + delta)].
     """
     hde = demag_field(demag, m_eq, g, mask) + eval_h_ext(sched, t, g, mask)
     hd_delta = demag_field(demag, delta, g, mask)
+    lap_eq = laplacian_neumann(m_eq, g, mask)
     lap_delta = laplacian_neumann(delta, g, mask)
-    gdot = grad_dot(m_eq, delta, g, mask)
-    gsq_d = grad_dot(delta, delta, g, mask)
-    out = (2.0 * alpha * gdot[..., None] * delta
-           + alpha * gsq_d[..., None] * (m_eq + delta)
+    # -(x.Lap y) as dot3(-x, Lap y), as in linearized_apply
+    mixed = dot3(-delta, lap_eq) + dot3(-m_eq, lap_delta)
+    out = (alpha * (mixed[..., None] * delta
+                    + dot3(-delta, lap_delta)[..., None] * (m_eq + delta))
            + cross3(delta, lap_delta + hd_delta)
            - alpha * cross3(delta, cross3(delta, hde))
            - alpha * cross3(delta, cross3(m_eq, hd_delta))
@@ -109,10 +113,13 @@ def remainder_apply(t: float, m_eq: np.ndarray, delta: np.ndarray,
 def constant_equilibrium_apply(ce: ConstantEquilibrium, delta: np.ndarray,
                                alpha: float, g: Grid3, mask: DomainMask,
                                demag: DemagModel) -> np.ndarray:
-    """Closed form of L at the constant equilibria +-u:
+    """Closed form of L at the constant equilibria +-u, where Lap u = 0:
 
         (lam -+ d) delta ^ u  +- u ^ (Lap delta + h_d delta)
-        + alpha (d -+ lam) u ^ (delta ^ u) - alpha u ^ (u ^ h_d delta).
+        + alpha (d -+ lam) u ^ (delta ^ u) - alpha u ^ (u ^ h_d delta)
+        - alpha (u.Lap delta) u.
+
+    The last term vanishes on tangent delta.
     """
     s = float(ce.sign)
     u = constant_field(g, ce.u, mask)
@@ -121,7 +128,8 @@ def constant_equilibrium_apply(ce: ConstantEquilibrium, delta: np.ndarray,
     out = ((ce.lam - s * ce.d) * cross3(delta, u)
            + s * cross3(u, lap_delta + hd_delta)
            + alpha * (ce.d - s * ce.lam) * cross3(u, cross3(delta, u))
-           - alpha * cross3(u, cross3(u, hd_delta)))
+           - alpha * cross3(u, cross3(u, hd_delta))
+           - alpha * dot3(u, lap_delta)[..., None] * u)
     return apply_mask(out, mask)
 
 

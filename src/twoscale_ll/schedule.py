@@ -60,7 +60,13 @@ class RotatingDirection:
         if not isfinite(self.omega):
             raise ValueError(f"omega must be finite, got {self.omega}")
         u0, u1 = _unit(self.u0), _finite(self.u1)
-        u1 = _unit(u1 - np.dot(u1, u0) * u0, "u1 must not be parallel to u0")
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = u1 - np.dot(u1, u0) * u0
+        if not np.all(np.isfinite(p)):
+            # (u1 . u0) overflowed: project u1 scaled by its largest |u1_i|
+            u1 = u1 / np.max(np.abs(u1))
+            p = u1 - np.dot(u1, u0) * u0
+        u1 = _unit(p, "u1 must not be parallel to u0")
         object.__setattr__(self, "u0", u0)
         object.__setattr__(self, "u1", u1)
         object.__setattr__(self, "_pairs", tuple(zip(u0.tolist(),
@@ -126,8 +132,9 @@ class FieldSchedule:
         knots = np.atleast_2d(np.asarray(self.knots, dtype=float))
         if knots.shape[1] != 2 or knots.shape[0] < 1:
             raise ValueError("knots must be an (n, 2) array of (t, lambda)")
-        if not np.all(np.isfinite(knots[:, 0])):
-            raise ValueError("knot times must be finite")
+        for col, name in enumerate(("times", "amplitudes")):
+            if not np.all(np.isfinite(knots[:, col])):
+                raise ValueError(f"knot {name} must be finite")
         if knots.shape[0] > 1 and np.any(np.diff(knots[:, 0]) <= 0):
             raise ValueError("knot times must be strictly increasing")
         object.__setattr__(self, "knots", knots)

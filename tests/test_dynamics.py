@@ -33,7 +33,6 @@ from twoscale_ll.grid import (
     constant_field,
     cross3,
     dot3,
-    grad_dot,
     inner_products,
     laplacian_neumann,
     neumann_eigenvalues,
@@ -49,7 +48,7 @@ from twoscale_ll.schedule import (
     eval_h_ext,
 )
 
-from conftest import random_unit_field, up_field
+from conftest import face_pairing, random_unit_field, up_field
 
 
 def test_solver_config_validation():
@@ -362,16 +361,20 @@ def test_step_error_contract(integrator, n):
         step(0.0, bad, cfg.dt, cfg, g, mask, demag, fine)
     with pytest.raises(DegenerateCellError):
         step(0.0, np.zeros_like(m), cfg.dt, cfg, g, mask, demag, fine)
-    # non-finite from the first evaluation; and, explicit only, a field
-    # that turns non-finite after t = 1, so that of the step from t = 0.95
-    # only the midpoint stage at t + dt/2 = 1.05 sees it
-    nan_field = FieldSchedule(np.array([[0.0, np.nan], [2.0, np.nan]]))
-    late = FieldSchedule(np.array([[0.0, 0.7], [1.0, 0.7], [2.0, np.nan]]))
-    cases = [(0.5, nan_field)]
+    # non-finite from the first evaluation: a finite field of 1e308 across
+    # m, whose torque over eps overflows; and, explicit only, a field that
+    # jumps to it after t = 1, so that of the step from t = 0.95 only the
+    # midpoint stage at t + dt/2 = 1.05 sees it (the schedule refuses
+    # non-finite amplitudes themselves)
+    tilted = FixedDirection((1.0, 0.0, 1.0))
+    huge = FieldSchedule(np.array([[0.0, 1e308], [2.0, 1e308]]), tilted)
+    late = FieldSchedule(np.array([[0.0, 0.7], [1.0, 0.7], [1.01, 1e308],
+                                   [2.0, 1e308]]), tilted)
+    cases = [(0.5, huge)]
     if integrator == "projected-explicit":
         cases.append((0.95, late))
     for t, sched in cases:
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(BlowUpError) as exc:
                 step(t, m, cfg.dt, cfg, g, mask, demag, sched)
         assert exc.value.time == t + cfg.dt
@@ -397,7 +400,7 @@ def test_energy_gradient_is_total_field(box12, demag12, static_field):
 def test_energy_is_the_three_term_sum(box12, demag12, static_field,
                                      sphere_tensor):
     # E read off the field equals 1/2 |grad m|^2 - 1/2 m.h_d - m.h_ext,
-    # summed with grad_dot, on unit and non-unit fields alike
+    # the first summed face by face, on unit and non-unit fields alike
     ge = Grid3(12, 12, 12, 2.0 / 12, 1.6 / 12, 1.2 / 12)
     g1 = Grid3(1, 1, 1)
     domains = ((box12[0], box12[1], demag12),
@@ -413,9 +416,9 @@ def test_energy_is_the_three_term_sum(box12, demag12, static_field,
             w, dV = mask.inside, mask.cell_volume
             hd = demag_field(demag, m, g, mask)
             he = eval_h_ext(static_field, 0.0, g, mask)
-            want = (0.5 * np.sum(grad_dot(m, m, g, mask)[w])
-                    - 0.5 * np.sum(dot3(m, hd)[w])
-                    - np.sum(dot3(m, he)[w])) * dV
+            want = (0.5 * face_pairing(m, m, g, mask)
+                    - (0.5 * np.sum(dot3(m, hd)[w])
+                       + np.sum(dot3(m, he)[w])) * dV)
             got = energy(0.0, m, cfg, g, mask, demag, static_field)
             assert got == pytest.approx(want, rel=1e-13, abs=0.0), g.shape
 

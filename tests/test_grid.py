@@ -1,4 +1,4 @@
-"""Grid, Neumann Laplacian, discrete gradients and inner products."""
+"""Grid, Neumann Laplacian and inner products."""
 
 import re
 
@@ -14,7 +14,6 @@ from twoscale_ll.grid import (
     constant_field,
     cross3,
     dot3,
-    grad_dot,
     inner_products,
     laplacian_neumann,
     mean_magnetization,
@@ -22,7 +21,7 @@ from twoscale_ll.grid import (
     normalize_pointwise,
 )
 
-from conftest import random_unit_field
+from conftest import face_pairing
 
 
 def test_grid_validation():
@@ -96,13 +95,11 @@ def test_laplacian_of_constant_is_zero():
     ue = constant_field(ge, (0.3, -1.2, 0.5), me)
     assert np.max(np.abs(laplacian_neumann(ue, ge, me))) == 0.0
     # every field on one cell is constant: the stencil has no faces there,
-    # so the Laplacian and both gradient pairings are exact zeros
+    # so the Laplacian is an exact zero
     g1 = Grid3(1, 1, 1)
     m1 = DomainMask.full(g1)
-    u1, v1 = np.random.default_rng(0).standard_normal((2, 1, 1, 1, 3))
+    u1 = np.random.default_rng(0).standard_normal((1, 1, 1, 3))
     assert np.all(laplacian_neumann(u1, g1, m1) == 0.0)
-    assert np.all(grad_dot(u1, v1, g1, m1) == 0.0)
-    assert np.all(grad_dot(u1, u1, g1, m1) == 0.0)
 
 
 def test_laplacian_cosine_eigenfield():
@@ -151,9 +148,9 @@ def test_green_identity_symmetric():
         b = np.sum(dot3(u, laplacian_neumann(v, g, mask))) * dV
         assert abs(a - b) <= 1e-12 * max(abs(a), 1.0), name
         # summation by parts: the H1 pairing read off the Laplacian is the
-        # L2 pairing plus the summed gradient pairing
+        # L2 pairing plus the gradient pairing summed face by face
         ip = inner_products(u, v, g, mask)
-        h1 = ip["l2"] + np.sum(grad_dot(u, v, g, mask)[mask.inside]) * dV
+        h1 = ip["l2"] + face_pairing(u, v, g, mask)
         assert ip["h1"] == pytest.approx(h1, rel=1e-12), name
 
 
@@ -176,27 +173,6 @@ def test_laplacian_matches_face_by_face_reference():
                 ref[j] -= q[i]
         lap = laplacian_neumann(u, g, mask)
         assert lap.tobytes() == ref.tobytes(), name
-
-
-def test_grad_sq_matches_minus_m_dot_laplacian_on_unit_fields():
-    for name, g, mask in _stencil_domains(Grid3(9, 9, 9, 0.1, 0.1, 0.1)):
-        m = random_unit_field(g, mask, 5)
-        gsq = grad_dot(m, m, g, mask)
-        mdl = -dot3(m, laplacian_neumann(m, g, mask))
-        assert np.max(np.abs(gsq - mdl)) < 1e-10 * np.max(np.abs(gsq)), name
-
-
-def test_grad_dot_bilinear_symmetric():
-    g = Grid3(6, 6, 6, 0.2, 0.2, 0.2)
-    mask = DomainMask.full(g)
-    rng = np.random.default_rng(1)
-    u = rng.standard_normal(g.shape + (3,))
-    v = rng.standard_normal(g.shape + (3,))
-    w = rng.standard_normal(g.shape + (3,))
-    assert np.allclose(grad_dot(u, v, g, mask), grad_dot(v, u, g, mask))
-    assert np.allclose(grad_dot(u, v + 2.0 * w, g, mask),
-                       grad_dot(u, v, g, mask) + 2.0 * grad_dot(u, w, g, mask))
-    assert np.all(grad_dot(u, u, g, mask) >= 0.0)
 
 
 def test_inner_products_ordering_and_symmetry():

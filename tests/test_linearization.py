@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
-from twoscale_ll.demag import TensorDemag, demag_field
+from twoscale_ll.demag import FftDemag, TensorDemag, demag_field
 from twoscale_ll.dynamics import SolverConfig, parabolic_rhs_F
 from twoscale_ll.grid import (
     DomainMask,
+    EllipsoidSpec,
     Grid3,
     constant_field,
     cross3,
     dot3,
     norm_l2,
+    normalize_pointwise,
 )
 from twoscale_ll.linearization import (
     ConstantEquilibrium,
@@ -24,7 +26,7 @@ from twoscale_ll.linearization import (
 )
 from twoscale_ll.schedule import FieldSchedule
 
-from conftest import up_field
+from conftest import random_unit_field, up_field
 
 UZ = np.array([0.0, 0.0, 1.0])
 
@@ -79,6 +81,57 @@ def test_decomposition_is_exact(box12, demag12, static_field):
         gap = f1 - f0 - ld - rd
         scale = max(np.max(np.abs(f1 - f0)), 1.0)
         assert np.max(np.abs(gap)) < 1e-11 * scale
+
+
+def _box_and_ellipsoid(box12):
+    """The 12^3 unit box and an EllipsoidSpec(1, 0.8, 0.6) mask in a 12^3
+    grid, each with its FFT demag operator."""
+    ge = Grid3(12, 12, 12, 2.0 / 12, 1.6 / 12, 1.2 / 12)
+    me = DomainMask.ellipsoid(ge, EllipsoidSpec(1.0, 0.8, 0.6))
+    return tuple((g, mask, FftDemag.for_grid(g))
+                 for g, mask in (box12, (ge, me)))
+
+
+def test_decomposition_is_exact_off_the_sphere(box12, static_field):
+    # L and R expand the F that is computed, exchange term -alpha (m.Lap m) m
+    # included, so the split is exact for a non-unit delta about a
+    # non-uniform m_eq as well
+    cfg = SolverConfig(epsilon=1.0, alpha=0.8, T=1.0, dt=1e-3)
+    for g, mask, demag in _box_and_ellipsoid(box12):
+        args = (g, mask, demag, static_field)
+        m_eq = random_unit_field(g, mask, 7)
+        rng = np.random.default_rng(8)
+        delta = np.where(mask.inside[..., None],
+                         0.1 * rng.standard_normal(g.shape + (3,)), 0.0)
+        f1 = parabolic_rhs_F(0.0, m_eq + delta, cfg, *args)
+        f0 = parabolic_rhs_F(0.0, m_eq, cfg, *args)
+        ld = linearized_apply(0.0, m_eq, delta, cfg.alpha, *args)
+        rd = remainder_apply(0.0, m_eq, delta, cfg.alpha, *args)
+        gap = np.max(np.abs(f1 - f0 - ld - rd))
+        assert gap <= 1e-12 * np.max(np.abs(f1 - f0)), g.spacings
+
+
+def test_tangent_linearization_is_the_derivative_along_the_sphere(
+        box12, static_field):
+    # for pointwise-tangent delta, the central difference of F through
+    # normalize(m_eq +- s delta) tends to L delta, its error falling 4x as
+    # s halves
+    cfg = SolverConfig(epsilon=1.0, alpha=0.8, T=1.0, dt=1e-3)
+    for g, mask, demag in _box_and_ellipsoid(box12):
+        args = (g, mask, demag, static_field)
+        m_eq = random_unit_field(g, mask, 7)
+        tau = random_unit_field(g, mask, 9)
+        delta = tau - dot3(tau, m_eq)[..., None] * m_eq
+        ld = linearized_apply(0.0, m_eq, delta, cfg.alpha, *args)
+        errs = []
+        for s in (1e-2, 5e-3, 2.5e-3):
+            fp, fm = (parabolic_rhs_F(
+                0.0, normalize_pointwise(m_eq + r * delta, mask), cfg, *args)
+                for r in (s, -s))
+            errs.append(np.max(np.abs((fp - fm) / (2.0 * s) - ld)))
+        ratios = np.array(errs[:-1]) / np.array(errs[1:])
+        assert np.all(np.abs(ratios - 4.0) < 0.05), (g.spacings, ratios)
+        assert errs[-1] < 1e-4 * np.max(np.abs(ld)), g.spacings
 
 
 def test_decomposition_macrospin(macrospin, sphere_tensor, static_field):

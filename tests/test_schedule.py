@@ -1,5 +1,7 @@
 """Exterior field schedules: amplitude interpolation, directions, envelopes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,10 @@ def test_knot_validation():
     for t in (np.nan, np.inf):
         with pytest.raises(ValueError, match="knot times must be finite"):
             FieldSchedule(np.array([[0.0, 1.0], [t, 2.0]]))
+    # a NaN or inf amplitude would interpolate to NaN and end in a blow-up
+    for v in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="knot amplitudes must be finite"):
+            FieldSchedule(np.array([[0.0, v], [1.0, 1.0]]))
 
 
 def test_amplitude_interpolation_and_range():
@@ -53,7 +59,10 @@ def test_amplitude_is_np_interp_bit_for_bit():
             ts = np.cumsum(rng.uniform(1e-3, 2.0, n)) - rng.uniform(0, 3)
             vs = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
             if n > 2 and rng.uniform() < 0.3:
-                vs[rng.integers(n)] = np.nan  # the blow-up tests use NaN
+                bad = vs.copy()
+                bad[rng.integers(n)] = np.nan
+                with pytest.raises(ValueError, match="amplitudes must be"):
+                    FieldSchedule(np.column_stack([ts, bad]))
             s = FieldSchedule(np.column_stack([ts, vs]))
             times = list(ts) + list(rng.uniform(ts[0], ts[-1], 20)) \
                 + [np.nextafter(t, ts[-1]) for t in ts] \
@@ -127,6 +136,21 @@ def test_directions_normalize_huge_and_tiny_vectors():
     assert np.array_equal(d.u1, [0.0, 1.0, 0.0])
     d = RotatingDirection((1e-200, 0.0, 0.0), (1.0, 1e-300, 0.0), 0.1)
     assert np.array_equal(d.u1, [0.0, 1.0, 0.0])
+    # (u1 . u0) overflows for this finite u1; the projection must still give
+    # the direction that u1 scaled by 1/1.5e308 gives, with no warning
+    u0, u1 = (1.0, 1.0, 0.0), np.array([1.5e308, 1.5e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = RotatingDirection(u0, u1, 0.1)
+    want = RotatingDirection(u0, u1 / 1.5e308, 0.1).u1
+    np.testing.assert_allclose(d.u1, want, rtol=0.0, atol=1e-15)
+    assert abs(d.u1[2] - 1.0) < 1e-15
+    # an ordinary u1 is projected as written, without the rescaling
+    u0n = np.array(u0) / np.sqrt(2.0)
+    u1 = np.array([0.3, -0.2, 0.9])
+    p = u1 - np.dot(u1, u0n) * u0n
+    d = RotatingDirection(u0, u1, 0.1)
+    assert d.u1.tobytes() == (p / np.linalg.norm(p)).tobytes()
 
 
 @pytest.mark.parametrize("bad", [(np.nan, 0.0, 1.0), (np.inf, 0.0, 1.0),
