@@ -145,7 +145,8 @@ def parse_config(text: str) -> dict[str, dict[str, object]]:
 
 def _validate(v: dict[str, dict[str, object]], errors: list[str]) -> None:
     for sec, key in (("material", "epsilon"), ("material", "alpha"),
-                     ("experiment", "relax_tol")):
+                     ("experiment", "relax_tol"), ("solver", "dt"),
+                     ("grid", "hx"), ("grid", "hy"), ("grid", "hz")):
         if v[sec][key] is not None and v[sec][key] <= 0:
             errors.append(f"{sec}.{key} must be > 0")
     ladder = v["material"]["epsilon_ladder"]
@@ -155,9 +156,6 @@ def _validate(v: dict[str, dict[str, object]], errors: list[str]) -> None:
     for key in ("nx", "ny", "nz"):
         if v["grid"][key] < 1:
             errors.append(f"grid.{key} must be >= 1")
-    for key in ("hx", "hy", "hz"):
-        if v["grid"][key] <= 0:
-            errors.append(f"grid.{key} must be > 0")
     knots = v["field"]["knots"]
     ts = [t for t, _ in knots]
     if len(ts) > 1 and any(np.diff(ts) <= 0):
@@ -173,8 +171,6 @@ def _validate(v: dict[str, dict[str, object]], errors: list[str]) -> None:
             errors.append("domain semi-axes must satisfy a >= b >= c > 0")
     if v["experiment"]["tensor_resolution"] < 16:
         errors.append("experiment.tensor_resolution must be >= 16")
-    if v["solver"]["dt"] is not None and v["solver"]["dt"] <= 0:
-        errors.append("solver.dt must be > 0")
     if v["solver"]["t_final"] < 0:
         errors.append("solver.t_final must be >= 0")
     if v["field"]["envelope"] not in ("constant", "bump"):

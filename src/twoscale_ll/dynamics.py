@@ -16,6 +16,7 @@ from .grid import (
     DegenerateCellError,
     DomainMask,
     Grid3,
+    ModeMismatchError,
     _check_field,
     apply_mask,
     cross3,
@@ -115,12 +116,19 @@ class RunRecord:
             raise ValueError("record times must be increasing")
 
 
+def _fields(t, m, g, mask, demag, sched) -> tuple[np.ndarray, np.ndarray]:
+    """(a, h): a = h_d(m) + h_ext(t) and h_T = Lap m + a, new and unmasked."""
+    a = demag_field(demag, m, g, mask)
+    a += eval_h_ext(sched, t, g, mask)
+    h = laplacian_neumann(m, g, mask)
+    h += a
+    return a, h
+
+
 def total_field(t: float, m: np.ndarray, g: Grid3, mask: DomainMask,
                 demag: DemagModel, sched: FieldSchedule) -> np.ndarray:
     """h_T = exchange Laplacian + demag + exterior field."""
-    h = demag_field(demag, m, g, mask) + eval_h_ext(sched, t, g, mask) \
-        + laplacian_neumann(m, g, mask)
-    return apply_mask(h, mask)
+    return apply_mask(_fields(t, m, g, mask, demag, sched)[1], mask)
 
 
 def _ll_torque3(m, h, alpha: float, eps: float) -> tuple[float, ...]:
@@ -157,8 +165,12 @@ def ll_rhs(t: float, m: np.ndarray, cfg: SolverConfig, g: Grid3,
     if g.is_macrospin:
         _check_field(m, g)
         m3 = m.ravel().tolist()
+        try:
+            rows = demag.rows  # an FftDemag here was built for another grid
+        except AttributeError:
+            raise ModeMismatchError("one cell takes TensorDemag") from None
         m0, m1, m2 = m3
-        hd = [-(a * m0 + b * m1 + c * m2) for a, b, c in demag.rows]
+        hd = [-(a * m0 + b * m1 + c * m2) for a, b, c in rows]
         lam = sched.amplitude(t) * _envelope_values(sched.envelope, g).item()
         h = [a + lam * u for a, u in zip(hd, sched.direction.at(t).tolist())]
         return np.array(_ll_torque3(m3, h, cfg.alpha,
@@ -171,20 +183,15 @@ def ll_rhs(t: float, m: np.ndarray, cfg: SolverConfig, g: Grid3,
 def parabolic_rhs_F(t: float, m: np.ndarray, cfg: SolverConfig, g: Grid3,
                     mask: DomainMask, demag: DemagModel,
                     sched: FieldSchedule) -> np.ndarray:
-    """F(t,m) = m ^ h_T - alpha (m.Lap m) m - alpha m ^ (m ^ (h_d + h_ext)).
+    """F(t,m) = m ^ h_T + alpha (|m|^2 a - (m.h_T) m), a = h_d + h_ext.
 
-    On unit fields -m.Lap(m) is the discrete |grad m|^2, the half-sum of
-    the squared one-sided differences, so F is the paper's
-    m ^ h_T + alpha |grad m|^2 m - alpha m ^ (m ^ (h_d + h_ext)), and
-    alpha*Lap(m) + F reproduces the LL right-hand side exactly (discrete
-    counterpart of the parabolic reformulation).
+    As m ^ (m ^ a) = (m.a) m - |m|^2 a for every m, and on unit fields
+    -m.Lap(m) is the discrete |grad m|^2 (the half-sum of the squared
+    one-sided differences), F is the paper's m ^ h_T + alpha |grad m|^2 m
+    - alpha m ^ (m ^ a), and alpha*Lap(m) + F reproduces the LL right-hand
+    side exactly (discrete counterpart of the parabolic reformulation).
     """
-    a = demag_field(demag, m, g, mask)
-    a += eval_h_ext(sched, t, g, mask)
-    h = laplacian_neumann(m, g, mask)
-    h += a
-    # m ^ (m ^ a) = (m.a) m - |m|^2 a for every m, so
-    # F = m ^ h_T + alpha (|m|^2 a - (m.h_T) m), with a = h_d + h_ext
+    a, h = _fields(t, m, g, mask, demag, sched)
     out = cross3(m, h)
     out += (cfg.alpha * dot3(m, m))[..., None] * a
     out -= (cfg.alpha * dot3(m, h))[..., None] * m

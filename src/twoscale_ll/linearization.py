@@ -12,6 +12,7 @@ import numpy as np
 import scipy.fft
 
 from .demag import DemagModel, TensorDemag, demag_field
+from .dynamics import _fields
 from .grid import (
     DomainMask,
     Grid3,
@@ -23,7 +24,7 @@ from .grid import (
     laplacian_neumann,
     normalize_pointwise,
 )
-from .schedule import FieldSchedule, eval_h_ext
+from .schedule import FieldSchedule
 
 
 @dataclass(frozen=True)
@@ -52,61 +53,50 @@ class ConstantEquilibrium:
             raise ValueError("u is not an eigenvector of D for eigenvalue d")
 
 
+def _increments(t, m_eq, delta, g, mask, demag, sched) -> tuple:
+    """The prologue of L and R: F's fields (a, h) at m_eq, a_d = h_d(delta),
+    h_d1 = Lap delta + a_d, and s = delta.h + m_eq.h_d1."""
+    a, h = _fields(t, m_eq, g, mask, demag, sched)
+    a_d = demag_field(demag, delta, g, mask)
+    h_d1 = laplacian_neumann(delta, g, mask)
+    h_d1 += a_d
+    return a, h, a_d, h_d1, dot3(delta, h) + dot3(m_eq, h_d1)
+
+
 def linearized_apply(t: float, m_eq: np.ndarray, delta: np.ndarray,
                      alpha: float, g: Grid3, mask: DomainMask,
                      demag: DemagModel, sched: FieldSchedule) -> np.ndarray:
     """Linear part L(t, m_eq) delta of F(t, m_eq + delta) alone, for any
-    delta, tangent or not.
+    delta, tangent or not. The flow's full linearization is
+    alpha*Lap(delta) + L delta: the two agree on one cell only.
 
-    The flow's full linearization is alpha*Lap(delta) + L delta: the two
-    agree on one cell, where Lap vanishes, but not on a grid.
-
-    Seven terms: the two exchange couplings of F's -alpha (m.Lap m) m,
-    -alpha [(m_eq.Lap m_eq) delta + (delta.Lap m_eq + m_eq.Lap delta) m_eq],
-    the torque of delta against h_T(m_eq), the torque of m_eq against
-    (Lap + h_d)(delta), and the three damping couplings through
-    h_d(m_eq) + h_ext.
+    With the fields of _increments, F = m ^ h + alpha (|m|^2 a - (m.h) m)
+    expands to L delta = delta ^ h + m_eq ^ h_d1 + alpha [(|m_eq|^2 a_d
+    - (m_eq.h) delta) + (2 (m_eq.delta) a - s m_eq)], each pair of which
+    cancels exactly at +-u under no field when D = dI and u is an axis.
     """
-    hde = demag_field(demag, m_eq, g, mask) + eval_h_ext(sched, t, g, mask)
-    hd_delta = demag_field(demag, delta, g, mask)
-    lap_eq = laplacian_neumann(m_eq, g, mask)
-    lap_delta = laplacian_neumann(delta, g, mask)
-    # -(x.Lap y) as dot3(-x, Lap y), which is +0, not -0, where Lap y = 0,
-    # so one cell keeps the signs of its zeros
-    mixed = dot3(-delta, lap_eq) + dot3(-m_eq, lap_delta)
-    out = (alpha * (dot3(-m_eq, lap_eq)[..., None] * delta
-                    + mixed[..., None] * m_eq)
-           + cross3(delta, hde + lap_eq)
-           + cross3(m_eq, lap_delta + hd_delta)
-           - alpha * cross3(delta, cross3(m_eq, hde))
-           - alpha * cross3(m_eq, cross3(delta, hde))
-           - alpha * cross3(m_eq, cross3(m_eq, hd_delta)))
+    a, h, a_d, h_d1, s = _increments(t, m_eq, delta, g, mask, demag, sched)
+    out = cross3(delta, h)
+    out += cross3(m_eq, h_d1)
+    out += alpha * ((dot3(m_eq, m_eq)[..., None] * a_d
+                     - dot3(m_eq, h)[..., None] * delta)
+                    + (2.0 * dot3(m_eq, delta)[..., None] * a
+                       - s[..., None] * m_eq))
     return apply_mask(out, mask)
 
 
 def remainder_apply(t: float, m_eq: np.ndarray, delta: np.ndarray,
                     alpha: float, g: Grid3, mask: DomainMask,
                     demag: DemagModel, sched: FieldSchedule) -> np.ndarray:
-    """Quadratic-and-cubic remainder R(t, m_eq)(delta) of the expansion, so
-    that F(m_eq + delta) - F(m_eq) = L delta + R(delta) for any delta.
-
-    Its exchange part is the rest of -alpha (m.Lap m) m,
-    -alpha [(delta.Lap m_eq + m_eq.Lap delta) delta
-    + (delta.Lap delta)(m_eq + delta)].
-    """
-    hde = demag_field(demag, m_eq, g, mask) + eval_h_ext(sched, t, g, mask)
-    hd_delta = demag_field(demag, delta, g, mask)
-    lap_eq = laplacian_neumann(m_eq, g, mask)
-    lap_delta = laplacian_neumann(delta, g, mask)
-    # -(x.Lap y) as dot3(-x, Lap y), as in linearized_apply
-    mixed = dot3(-delta, lap_eq) + dot3(-m_eq, lap_delta)
-    out = (alpha * (mixed[..., None] * delta
-                    + dot3(-delta, lap_delta)[..., None] * (m_eq + delta))
-           + cross3(delta, lap_delta + hd_delta)
-           - alpha * cross3(delta, cross3(delta, hde))
-           - alpha * cross3(delta, cross3(m_eq, hd_delta))
-           - alpha * cross3(m_eq, cross3(delta, hd_delta))
-           - alpha * cross3(delta, cross3(delta, hd_delta)))
+    """Remainder R(t, m_eq)(delta) = F(m_eq + delta) - F(m_eq) - L delta,
+    for any delta: delta ^ h_d1 + alpha [2 (m_eq.delta) a_d
+    + |delta|^2 (a + a_d) - s delta - (delta.h_d1)(m_eq + delta)]."""
+    a, h, a_d, h_d1, s = _increments(t, m_eq, delta, g, mask, demag, sched)
+    out = cross3(delta, h_d1)
+    out += alpha * (2.0 * dot3(m_eq, delta)[..., None] * a_d
+                    + dot3(delta, delta)[..., None] * (a + a_d)
+                    - s[..., None] * delta
+                    - dot3(delta, h_d1)[..., None] * (m_eq + delta))
     return apply_mask(out, mask)
 
 

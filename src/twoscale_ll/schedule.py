@@ -50,7 +50,9 @@ class FixedDirection:
 @dataclass(frozen=True)
 class RotatingDirection:
     """Great-circle rotation at angular rate omega, starting at u0 and
-    turning toward u1 (within their common plane)."""
+    turning toward u1 (within their common plane). A projection of u1 off
+    u0 that cancels half of |u1| is taken twice ("twice is enough"); if the
+    second also cancels half, u1 is parallel to u0 to rounding, refused."""
 
     u0: np.ndarray
     u1: np.ndarray
@@ -60,12 +62,16 @@ class RotatingDirection:
         if not isfinite(self.omega):
             raise ValueError(f"omega must be finite, got {self.omega}")
         u0, u1 = _unit(self.u0), _finite(self.u1)
+        norm = np.hypot.reduce  # |v| with no underflow in the squares
         with np.errstate(over="ignore", invalid="ignore"):
             p = u1 - np.dot(u1, u0) * u0
-        if not np.all(np.isfinite(p)):
-            # (u1 . u0) overflowed: project u1 scaled by its largest |u1_i|
-            u1 = u1 / np.max(np.abs(u1))
-            p = u1 - np.dot(u1, u0) * u0
+            if not np.all(np.isfinite(p)):
+                # (u1 . u0) overflowed: project u1 scaled by its largest |u1_i|
+                u1 = u1 / np.max(np.abs(u1))
+                p = u1 - np.dot(u1, u0) * u0
+            if norm(p) < 0.5 * norm(u1):
+                q = p - np.dot(p, u0) * u0
+                p = q if norm(q) >= 0.5 * norm(p) else 0.0 * q
         u1 = _unit(p, "u1 must not be parallel to u0")
         object.__setattr__(self, "u0", u0)
         object.__setattr__(self, "u1", u1)

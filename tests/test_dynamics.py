@@ -344,6 +344,23 @@ def test_one_cell_tensor_field_stays_in_floats(macrospin, monkeypatch,
 
 @pytest.mark.parametrize("integrator",
                          ["projected-explicit", "semi-implicit-spectral"])
+def test_one_cell_refuses_a_grid_demag_model(macrospin, static_field,
+                                             integrator):
+    # FftDemag refuses one cell, so one here was built for another grid:
+    # a ModeMismatchError, as from demag_field, not an AttributeError
+    g, mask = macrospin
+    cfg = SolverConfig(epsilon=0.1, alpha=1.0, T=1.0, dt=0.01,
+                       integrator=integrator)
+    m = constant_field(g, (0.0, 0.0, 1.0), mask)
+    demag = FftDemag.for_grid(Grid3(4, 4, 4))
+    with pytest.raises(ModeMismatchError, match="one cell takes TensorDemag"):
+        ll_rhs(0.0, m, cfg, g, mask, demag, static_field)
+    with pytest.raises(ModeMismatchError, match="one cell takes TensorDemag"):
+        step(0.0, m, cfg.dt, cfg, g, mask, demag, static_field)
+
+
+@pytest.mark.parametrize("integrator",
+                         ["projected-explicit", "semi-implicit-spectral"])
 @pytest.mark.parametrize("n", [1, 2])
 def test_step_error_contract(integrator, n):
     g = Grid3(n, n, n, 1.0 / n, 1.0 / n, 1.0 / n)

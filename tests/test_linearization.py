@@ -184,6 +184,22 @@ def test_closed_form_matches_general_linearization(macrospin):
         assert np.max(np.abs(a - b)) < 1e-13
 
 
+def test_linearization_vanishes_exactly_at_zero_field(macrospin,
+                                                      sphere_tensor):
+    # at +-u along an axis with lambda = 0 on the sphere, L = 0: the terms
+    # of each pair are equal floats, so the dissipation scan's lambda = 0
+    # ratios are 0, not the sign of a rounding error
+    g, mask = macrospin
+    sched = FieldSchedule.constant(0.0, UZ)
+    rng = np.random.default_rng(5)
+    for sign in (+1, -1):
+        m_eq = constant_field(g, sign * UZ, mask)
+        delta = rng.standard_normal(g.shape + (3,))
+        ld = linearized_apply(0.0, m_eq, delta, 0.9, g, mask, sphere_tensor,
+                              sched)
+        assert np.all(ld == 0.0)
+
+
 def test_closed_form_matches_on_grid(box12, demag12):
     # constant u with the FFT operator on the full box: both routes agree
     g, mask = box12

@@ -153,6 +153,19 @@ def test_directions_normalize_huge_and_tiny_vectors():
     assert d.u1.tobytes() == (p / np.linalg.norm(p)).tobytes()
 
 
+def test_rotating_direction_near_parallel_u1():
+    # a tilt of 1e-12 off u0: one projection leaves rounding of 1e-16 along
+    # u0, 1e-4 of what is left; the second projection removes it
+    d = RotatingDirection((1.0, 1.0, 0.0), (1.0, 1.0, 1e-12), 0.1)
+    assert abs(np.dot(d.u0, d.u1)) < 1e-15
+    np.testing.assert_allclose(d.u1, [0.0, 0.0, 1.0], rtol=0.0, atol=1e-15)
+    for t in (0.0, 1.0, 7.3):
+        assert abs(np.linalg.norm(d.at(t)) - 1.0) < 1e-15
+    # a tilt of 1e-20 is below the projection's rounding: no direction
+    with pytest.raises(ValueError, match="parallel to u0"):
+        RotatingDirection((1.0, 1.0, 0.0), (1.0, 1.0, 1e-20), 0.1)
+
+
 @pytest.mark.parametrize("bad", [(np.nan, 0.0, 1.0), (np.inf, 0.0, 1.0),
                                  (0.0, -np.inf, 0.0)])
 def test_directions_refuse_non_finite_input(bad):
